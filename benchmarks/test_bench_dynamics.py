@@ -74,16 +74,16 @@ def test_100k_flash_crowd_within_budget():
 
     assert report.invariants == []
     assert report.joins > 0
-    events_per_s = report.scale.events_scheduled / max(elapsed, 1e-9)
+    ticks_per_s = report.scale.player_ticks / max(elapsed, 1e-9)
     _record(flash_crowd_100k_wall_s=round(elapsed, 2),
-            flash_crowd_100k_events_per_s=round(events_per_s),
+            flash_crowd_100k_player_ticks_per_s=round(ticks_per_s),
             flash_crowd_100k_joins=report.joins,
             flash_crowd_100k_leaves=report.leaves,
             flash_crowd_100k_refused=report.refused,
             flash_crowd_100k_shed=report.shed,
             flash_crowd_100k_budget_s=SMOKE_BUDGET_S)
     print(f"\n100k flash crowd: {elapsed:.1f}s "
-          f"({events_per_s:,.0f} events/s, {report.joins} joins, "
+          f"({ticks_per_s:,.0f} player-ticks/s, {report.joins} joins, "
           f"{report.shed} shed)")
     assert elapsed < SMOKE_BUDGET_S, (
         f"100k flash-crowd run took {elapsed:.1f}s "

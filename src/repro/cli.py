@@ -544,7 +544,6 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
 
 def build_scale_parser() -> argparse.ArgumentParser:
     from repro.core.cohort import FAULT_PRESETS
-    from repro.sim.engine import QUEUE_KINDS
 
     parser = argparse.ArgumentParser(
         prog="cloudfog scale",
@@ -567,9 +566,6 @@ def build_scale_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode", choices=("cohort", "per-player"), default="cohort",
         help="execution mode; traces are byte-identical (default cohort)")
-    parser.add_argument(
-        "--queue", choices=QUEUE_KINDS, default="calendar",
-        help="event-queue kind (default calendar)")
     parser.add_argument(
         "--faults", choices=FAULT_PRESETS, default="outage",
         help="fault preset (default outage: one region fails over "
@@ -594,7 +590,7 @@ def scale_main(argv: list[str] | None = None) -> int:
         spec = ScaleSpec(
             n_players=args.players, n_regions=args.regions,
             n_ticks=args.ticks, seed=args.seed, mode=args.mode,
-            queue=args.queue, faults=args.faults)
+            faults=args.faults)
     except ValueError as exc:
         parser.error(str(exc))
     t0 = time.time()
@@ -610,15 +606,14 @@ def scale_main(argv: list[str] | None = None) -> int:
                 json.dump(payload, fp, indent=2, sort_keys=True)
             print(f"wrote scale report to {args.json}")
     print(report.format_text())
-    print(f"[{elapsed:.1f}s, {report.events_scheduled} events, "
-          f"{report.events_scheduled / max(elapsed, 1e-9):,.0f} events/s]")
+    print(f"[{elapsed:.1f}s, "
+          f"{report.player_ticks / max(elapsed, 1e-9):,.0f} player-ticks/s]")
     return 0
 
 
 def build_dynamics_parser() -> argparse.ArgumentParser:
     from repro.core.cohort import FAULT_PRESETS
     from repro.dynamics import DYNAMICS_PRESETS, DYNAMICS_STRATEGIES
-    from repro.sim.engine import QUEUE_KINDS
 
     parser = argparse.ArgumentParser(
         prog="cloudfog dynamics",
@@ -652,9 +647,6 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode", choices=("cohort", "per-player"), default="cohort",
         help="execution mode; traces are byte-identical (default cohort)")
-    parser.add_argument(
-        "--queue", choices=QUEUE_KINDS, default="calendar",
-        help="event-queue kind (default calendar)")
     parser.add_argument(
         "--faults", choices=FAULT_PRESETS, default="none",
         help="fault preset layered under the dynamics (default none)")
@@ -696,7 +688,7 @@ def dynamics_main(argv: list[str] | None = None) -> int:
         base = ScaleSpec(
             n_players=args.players, n_regions=args.regions,
             n_ticks=args.ticks, seed=args.seed, mode=args.mode,
-            queue=args.queue, faults=args.faults)
+            faults=args.faults)
         if args.plan:
             with open(args.plan, encoding="utf-8") as fp:
                 plan = DynamicsPlan.from_dict(json.load(fp))
@@ -729,9 +721,9 @@ def dynamics_main(argv: list[str] | None = None) -> int:
                  else f"{args.preset} @ intensity {args.intensity}")
     print(f"plan:       {plan_desc} ({len(plan)} sources)")
     print(report.format_text())
-    print(f"[{elapsed:.1f}s, {report.scale.events_scheduled} events, "
-          f"{report.scale.events_scheduled / max(elapsed, 1e-9):,.0f} "
-          f"events/s]")
+    print(f"[{elapsed:.1f}s, "
+          f"{report.scale.player_ticks / max(elapsed, 1e-9):,.0f} "
+          f"player-ticks/s]")
     return 1 if report.invariants else 0
 
 

@@ -1,39 +1,39 @@
 """Population-scale cohort simulation kernel (DESIGN.md §11).
 
-Orchestrates a :class:`~repro.core.player.PlayerCohort` over the
-discrete-event :class:`~repro.sim.engine.Environment`:
-
-* a **driver** event fires once per tick — it folds the previous tick's
-  aggregates into the run digest, applies region fault transitions,
-  recomputes congestion from the (integer) load counters, and, in cohort
-  mode, advances every non-materialised player in one vectorised call;
-* each **materialised player** has its own per-tick event chain calling
-  the same advance kernel on its length-1 index array; a player that
-  stays convergence-free for ``reabsorb_ticks`` folds back into the
-  batch.
+Advances a :class:`~repro.core.player.PlayerCohort` in a plain tick
+loop. Each tick first applies the tick inputs: it folds the previous
+tick's aggregates into the run digest, applies region fault transitions
+and recomputes congestion from the (integer) load counters. It then
+advances every active player.
 
 Execution modes
 ---------------
 ``"cohort"``
-    The scale mode: vectorised batch + individually-driven divergents.
+    The scale mode: one vectorised ``PlayerCohort.advance`` call per
+    tick over every active player.
 ``"per-player"``
-    Every player is materialised from tick 0 and driven by its own
-    events — the reference execution the cohort mode must match
-    byte-for-byte (same digest), and the event-population stress test
-    for the calendar queue.
+    A loop over the scalar mirror ``PlayerCohort._advance_one`` — the
+    reference execution the cohort mode must match byte-for-byte (same
+    digest).
+
+Divergence mask
+---------------
+``materialised`` marks the players that recently diverged from the
+homogeneous cohort state (crash or down-switch). It is bookkeeping
+only: it feeds the report's ``materialisations``, ``reabsorptions``
+and ``final_materialised`` counts and never decides how a player is
+advanced. In cohort mode a diverging player enters the mask, and a
+player that stays quiet for ``reabsorb_ticks`` leaves it again.
+Per-player mode marks every active player and never re-absorbs.
 
 Determinism
 -----------
-The driver is always the first event processed at each tick time: it is
-scheduled before any player chain at construction, and it reschedules
-itself before any player event of the current tick runs, so its sequence
-number stays the lowest by induction. Tick-level inputs it writes
-(outage flags, failover targets, congestion) are therefore visible to
-every advance of that tick in both modes. All cross-player accumulation
-is integer (``bincount``), so per-tick event order cannot perturb state,
-and the digest covers player state and aggregates only — never the
-materialised set, which is the one thing the modes legitimately disagree
-on.
+Tick inputs (outage flags, failover targets, congestion) are written
+before any advance of that tick, identically in both modes. All
+cross-player accumulation is integer, so the order players are advanced
+in cannot perturb state, and the digest covers player state and
+aggregates only — never the divergence mask, which is the one thing the
+modes legitimately disagree on.
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.player import CohortParams, MaterialisedPlayer, PlayerCohort
+from repro.core.player import CohortParams, PlayerCohort
 from repro.network.latency import (
     LatencyParams,
     RegionalLatency,
     sample_access_latency_s,
 )
 from repro.network.topology import Regions, build_regions
-from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry, counter_u01
 
 #: Fault presets: (outage windows as tick fractions, crash rate).
@@ -63,6 +62,8 @@ FAULT_PRESETS = ("none", "outage", "crashes", "mixed")
 #: enough that a 1k-player, ~100-tick equivalence run materialises a
 #: handful of players through the crash path.
 PRESET_CRASH_RATE = 1e-3
+
+_NO_PLAYERS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,9 @@ class OutageWindow:
 class ScaleSpec:
     """Configuration of one scale run.
 
-    ``mode`` and ``queue`` select the execution strategy; everything
-    else shapes the population and workload. Two specs differing only
-    in ``mode`` or ``queue`` must produce the same digest.
+    ``mode`` selects the execution strategy; everything else shapes the
+    population and workload. Two specs differing only in ``mode`` must
+    produce the same digest.
     """
 
     n_players: int = 100_000
@@ -92,14 +93,10 @@ class ScaleSpec:
     n_ticks: int = 240
     seed: int = 0
     mode: str = "cohort"  # or "per-player"
-    queue: str = "calendar"  # or "heap"
     faults: str = "outage"  # one of FAULT_PRESETS
     #: Overrides the preset's crash rate when not None.
     crash_rate_per_tick: float | None = None
     params: CohortParams = field(default_factory=CohortParams)
-    #: Extra (tick, player_id) materialisations forced by tests — must
-    #: never change the digest (cohort mode only; no-ops otherwise).
-    forced_materialisations: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.mode not in ("cohort", "per-player"):
@@ -133,10 +130,11 @@ class ScaleReport:
     n_ticks: int
     seed: int
     mode: str
-    queue: str
     faults: str
     digest: str
     wall_s: float
+    #: Events the run's simulation ``Environment`` scheduled: 0 for the
+    #: static kernel, which has none; the mobility timers for dynamics.
     events_scheduled: int
     materialisations: int
     reabsorptions: int
@@ -156,14 +154,18 @@ class ScaleReport:
         """Stable JSON schema (CLI ``--json`` and external tooling)."""
         return dataclasses.asdict(self)
 
+    @property
+    def player_ticks(self) -> int:
+        """Player advances the run made (one frame each)."""
+        return sum(r.frames for r in self.regions)
+
     def format_text(self) -> str:
         """Human-readable summary for the ``cloudfog scale`` CLI."""
         head = (
             f"scale run: {self.n_players:,} players / {self.n_regions} "
             f"regions / {self.n_ticks} ticks  "
-            f"[mode={self.mode} queue={self.queue} faults={self.faults} "
-            f"seed={self.seed}]\n"
-            f"  wall {self.wall_s:.2f}s · {self.events_scheduled:,} events "
+            f"[mode={self.mode} faults={self.faults} seed={self.seed}]\n"
+            f"  wall {self.wall_s:.2f}s · {self.player_ticks:,} player-ticks "
             f"· {self.materialisations:,} materialised "
             f"({self.reabsorptions:,} reabsorbed, "
             f"{self.final_materialised:,} at end)\n"
@@ -222,7 +224,7 @@ def resolve_faults(spec: ScaleSpec) -> tuple[tuple[OutageWindow, ...], float]:
 
 
 class CohortKernel:
-    """One scale run: population build, tick driver, report."""
+    """One scale run: population build, tick loop, report."""
 
     def __init__(self, spec: ScaleSpec,
                  latency_params: LatencyParams | None = None):
@@ -243,60 +245,63 @@ class CohortKernel:
         self._capacity = (self.params.capacity_factor
                           * np.maximum(self.regions.player_counts(), 1)
                           .astype(np.float64))
-        self.env = Environment(queue=spec.queue)
         self._digest = hashlib.sha256()
-        self._forced: dict[int, list[int]] = {}
-        for tick, pid in spec.forced_materialisations:
-            self._forced.setdefault(int(tick), []).append(int(pid))
+        #: The divergence mask (see the module docstring) and, per
+        #: player, the tick of its latest divergence.
+        self.materialised = np.zeros(spec.n_players, dtype=bool)
+        self._last_divergence = np.full(spec.n_players, -1, dtype=np.int64)
         self.materialisations = 0
         self.reabsorptions = 0
         self._cohort_mode = spec.mode == "cohort"
         self._salt_failover = 2 * spec.seed + 3
 
-    # -- event machinery -----------------------------------------------------
-    def _schedule_player(self, mp: MaterialisedPlayer, tick: int,
-                         delay: float) -> None:
-        ev = self.env.timeout(delay)
-        ev.callbacks.append(lambda _e, t=tick: self._player_fire(mp, t))
+    # -- tick loop -----------------------------------------------------------
+    def _tick_inputs(self, tick: int) -> np.ndarray:
+        """Apply everything that precedes the advances of ``tick``.
 
-    def _player_fire(self, mp: MaterialisedPlayer, tick: int) -> None:
-        diverged = mp.advance(tick)
-        if tick + 1 >= self.spec.n_ticks:
-            return
-        if (self._cohort_mode and not diverged
-                and tick - mp.last_divergence_tick
-                >= self.params.reabsorb_ticks):
-            self.cohort.reabsorb(mp.player_id)
-            self.reabsorptions += 1
-            return
-        self._schedule_player(mp, tick + 1, self.params.tick_s)
-
-    def _spawn(self, player_id: int, tick: int) -> None:
-        """Materialise ``player_id``; its chain starts at ``tick + 1``."""
-        mp = self.cohort.materialise(player_id)
-        mp.last_divergence_tick = tick
-        self.materialisations += 1
-        if tick + 1 < self.spec.n_ticks:
-            self._schedule_player(mp, tick + 1, self.params.tick_s)
-
-    def _driver_fire(self, tick: int) -> None:
+        Returns the ids of players that must enter the divergence mask
+        at this tick even if they do not diverge (none here; the
+        dynamics kernel marks its movers).
+        """
         self._hash_tick(tick)
         self._apply_fault_transitions(tick)
         self._update_congestion()
-        # Reschedule before any player event of this tick runs, so the
-        # driver's sequence number stays the lowest at tick + 1.
+        return _NO_PLAYERS
+
+    def _advance_tick(self, tick: int, marked: np.ndarray) -> None:
+        """Advance every active player through ``tick`` and update the
+        divergence mask."""
+        c = self.cohort
+        mask = self.materialised
+        mask &= c.active  # players that left drop out silently
+        idx = np.flatnonzero(c.active)
+        if not self._cohort_mode:
+            for i in idx.tolist():
+                c._advance_one(i, tick)
+            return
+        diverged = c.advance(idx, tick)
+        was = mask[idx]
+        # A diverging or marked player outside the mask enters it. A
+        # marked player already inside keeps its divergence clock: only
+        # a real divergence restarts it.
+        enter = idx[diverged & ~was]
+        if marked.size:
+            enter = np.union1d(enter, marked[~mask[marked]])
+        self.materialisations += int(enter.size)
+        mask[enter] = True
+        self._last_divergence[enter] = tick
+        self._last_divergence[idx[diverged]] = tick
         if tick + 1 < self.spec.n_ticks:
-            ev = self.env.timeout(self.params.tick_s)
-            ev.callbacks.append(lambda _e, t=tick + 1: self._driver_fire(t))
-        if self._cohort_mode:
-            idx = self.cohort.batch_indices()
-            if idx.size:
-                diverged = self.cohort.advance(idx, tick)
-                for pid in idx[diverged]:
-                    self._spawn(int(pid), tick)
-            for pid in self._forced.get(tick, ()):
-                if not self.cohort.materialised[pid]:
-                    self._spawn(pid, tick)
+            kept = idx[was & ~diverged]
+            quiet = kept[tick - self._last_divergence[kept]
+                         >= self.params.reabsorb_ticks]
+            mask[quiet] = False
+            self.reabsorptions += int(quiet.size)
+
+    def _finish(self) -> int:
+        """Run what is left after the last tick; return the number of
+        events the run scheduled (none in the static kernel)."""
+        return 0
 
     # -- tick-level inputs ---------------------------------------------------
     def _failover_target(self, region: int) -> int:
@@ -310,12 +315,11 @@ class CohortKernel:
         return int(np.argmin(candidates))
 
     def _apply_fault_transitions(self, tick: int) -> None:
-        """Region-wide outage start/end — rule-homogeneous, driver-applied.
+        """Region-wide outage start/end — rule-homogeneous, a tick input.
 
         A region failing over is not individual divergence: one rule
-        moves every affected player, so the driver rewrites
-        ``served_by`` for the whole block (materialised players
-        included) in both modes, before any advance of this tick. The
+        moves every affected player, so this rewrites ``served_by`` for
+        the whole block in both modes, before any advance of this tick. The
         rule spreads the displaced load across online regions in
         proportion to capacity — dumping a top region's population onto
         its single nearest neighbour would melt that neighbour — using
@@ -383,24 +387,15 @@ class CohortKernel:
         return h.hexdigest()
 
     # -- run -----------------------------------------------------------------
-    def _initial_player_ids(self):
-        """Players materialised up-front in per-player mode. Subclasses
-        with dynamic membership start chains for the active set only."""
-        return range(self.spec.n_players)
-
     def run(self) -> ScaleReport:
         spec, p = self.spec, self.params
         t0 = time.perf_counter()
-        # The driver's tick-0 event is created first: lowest sequence
-        # number, so it precedes every player event at every tick.
-        ev = self.env.timeout(0.0)
-        ev.callbacks.append(lambda _e: self._driver_fire(0))
         if not self._cohort_mode:
-            for pid in self._initial_player_ids():
-                mp = self.cohort.materialise(pid)
-                self.materialisations += 1
-                self._schedule_player(mp, 0, 0.0)
-        self.env.run()
+            self.materialised[:] = self.cohort.active
+            self.materialisations = int(np.count_nonzero(self.materialised))
+        for tick in range(spec.n_ticks):
+            self._advance_tick(tick, self._tick_inputs(tick))
+        events = self._finish()
         self._hash_tick(spec.n_ticks)
         digest = self._hash_final()
         wall = time.perf_counter() - t0
@@ -423,11 +418,11 @@ class CohortKernel:
         return ScaleReport(
             n_players=spec.n_players, n_regions=spec.n_regions,
             n_ticks=spec.n_ticks, seed=spec.seed, mode=spec.mode,
-            queue=spec.queue, faults=spec.faults, digest=digest,
-            wall_s=wall, events_scheduled=self.env._seq,
+            faults=spec.faults, digest=digest,
+            wall_s=wall, events_scheduled=events,
             materialisations=self.materialisations,
             reabsorptions=self.reabsorptions,
-            final_materialised=c.n_materialised,
+            final_materialised=int(np.count_nonzero(self.materialised)),
             satisfied_fraction=satisfied / spec.n_players,
             crashes=int(c.crashes.sum()), switches=int(c.switches.sum()),
             reconnects=int(c.reconnects.sum()),

@@ -8,12 +8,10 @@ to the serving server's encoder.
 For population-scale runs the per-object endpoint is replaced by
 :class:`PlayerCohort` — a structure-of-arrays batch holding the *same*
 per-player state (playback position, buffer level, quality tier) for
-every player at once, advanced in vectorised ticks. A player whose
-trajectory diverges from the batch (crash, failover, adaptation switch)
-is *materialised* into a :class:`MaterialisedPlayer`: an individual view
-driven by its own simulation events, but reading and writing the very
-same arrays through the very same advance kernel — which is what makes
-cohort and per-player execution byte-identical (DESIGN.md §11).
+every player at once, advanced in vectorised ticks. Its scalar mirror
+``_advance_one`` advances one player with the same operations in the
+same order, which is what makes cohort and per-player execution
+byte-identical (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -196,7 +194,7 @@ class CohortParams:
     #: player whose base latency rides a deadline boundary can never
     #: up-switch into a tier it will occasionally miss, so nobody
     #: oscillates between tiers on jitter noise — the property that
-    #: keeps the materialised set small and re-absorbable.
+    #: keeps the divergence mask small and re-absorbable.
     up_margin_s: float = 0.004
     #: Per-player crash probability per tick.
     crash_rate_per_tick: float = 2e-5
@@ -211,10 +209,10 @@ class CohortParams:
     #: the tail). 512 × 1 ms covers every sane frame latency.
     latency_bin_s: float = 0.001
     n_latency_bins: int = 512
-    #: A materialised player that goes this many ticks without a new
-    #: divergence folds back into the cohort (cohort mode only). Two
-    #: cooldown periods: long enough to see any residual instability,
-    #: short enough that a one-off divergence stays cheap.
+    #: A player in the divergence mask that goes this many ticks without
+    #: a new divergence leaves it (cohort mode only). Two cooldown
+    #: periods: long enough to see any residual instability, short
+    #: enough that a one-off divergence is soon forgotten.
     reabsorb_ticks: int = 32
     #: Loss tolerance for the §IV satisfaction criterion.
     loss_tolerance: float = 0.2
@@ -231,17 +229,17 @@ class CohortParams:
 class PlayerCohort:
     """All players' state as a structure of arrays, advanced in ticks.
 
-    The arrays are the single source of truth for *every* player,
-    materialised or not. :meth:`advance` is the one state-transition
-    kernel; the cohort driver calls it with the batch of non-materialised
-    indices, a :class:`MaterialisedPlayer` calls it with its own length-1
-    index array. Because both paths run the same IEEE-exact elementwise
-    code over the same arrays, who drives a player never changes its
-    trajectory — the equivalence the digest tests pin down.
+    The arrays are the single source of truth for every player.
+    :meth:`advance` is the one state-transition kernel: the cohort-mode
+    tick loop calls it once per tick over every active player.
+    :meth:`_advance_one` is its scalar mirror, which per-player mode
+    calls player by player. Both run the same IEEE-exact elementwise
+    steps over the same arrays, so the mode never changes a trajectory
+    — the equivalence the digest tests pin down.
 
     Cross-player aggregates (`tick_load`, the latency histogram) are
-    int64 accumulators fed by ``bincount``, so contributions commute
-    exactly regardless of event order within a tick.
+    int64 accumulators, so contributions commute exactly regardless of
+    the order players are advanced in within a tick.
     """
 
     def __init__(
@@ -278,9 +276,8 @@ class PlayerCohort:
         self.tier = np.full(n, self._top_tier, dtype=np.int64)
         self.last_switch = np.full(
             n, -params.switch_cooldown_ticks, dtype=np.int64)
-        self.materialised = np.zeros(n, dtype=bool)
         #: Population-dynamics membership: inactive players are parked in
-        #: the join pool and excluded from the batch. All-true outside
+        #: the join pool and not advanced. All-true outside
         #: ``repro.dynamics`` (the base kernel never edits it).
         self.active = np.ones(n, dtype=bool)
         self.rebuffer_ticks = np.zeros(n, dtype=np.int64)
@@ -291,7 +288,7 @@ class PlayerCohort:
         self.on_time_frames = np.zeros(n, dtype=np.int64)
         self.frames = np.zeros(n, dtype=np.int64)
 
-        # -- tick-level shared inputs (written by the driver, before any
+        # -- tick-level shared inputs (written by the kernel, before any
         # advance at that tick, identically in both modes) -------------------
         self.region_offline = np.zeros(n_regions, dtype=bool)
         self.failover_to = np.arange(n_regions, dtype=np.int64)
@@ -309,15 +306,7 @@ class PlayerCohort:
         Returns the divergence mask (crashed or down-switched) aligned
         with ``idx``. Restricted to IEEE-exact elementwise operations —
         see :class:`CohortParams`.
-
-        Length-1 calls (a materialised player's tick) dispatch to the
-        scalar mirror :meth:`_advance_one`: the same operations in the
-        same order on Python doubles, which the IEEE-exactness
-        restriction makes bit-identical to the vector path — the
-        equivalence the cohort-vs-per-player digest tests pin down.
         """
-        if idx.size == 1:
-            return np.array([self._advance_one(int(idx[0]), tick)])
         p = self.params
         region = self.region[idx]
         served = self.served_by[idx]
@@ -386,26 +375,17 @@ class PlayerCohort:
 
         # Divergence = crash or down-switch: the events that push a
         # player *away* from the cohort's homogeneous state. An
-        # up-switch is re-convergence toward it, handled identically
-        # by the batch, so it neither materialises a player nor resets
-        # the re-absorption clock.
+        # up-switch is re-convergence toward it, so it neither marks a
+        # player nor resets the re-absorption clock.
         diverged = crashed | down
 
-        # 8) Order-free integer aggregates. Integer addition commutes
-        #    exactly, so the scatter-add (cheap for the handful of
-        #    indices a materialised advance carries) and the bincount
-        #    (cheap for the cohort batch) produce identical counters —
-        #    a performance branch, never a math branch.
+        # 8) Order-free integer aggregates: integer addition commutes
+        #    exactly, so these match the scalar mirror's one-by-one adds.
         bins = np.minimum((lat * self._inv_bin).astype(np.int64),
                           p.n_latency_bins - 1)
         flat = region * p.n_latency_bins + bins
-        if idx.size <= 64:
-            np.add.at(self.tick_load, served, 1)
-            np.add.at(self.lat_hist, flat, 1)
-        else:
-            self.tick_load += np.bincount(served, minlength=self.n_regions)
-            self.lat_hist += np.bincount(
-                flat, minlength=self.lat_hist.shape[0])
+        self.tick_load += np.bincount(served, minlength=self.n_regions)
+        self.lat_hist += np.bincount(flat, minlength=self.lat_hist.shape[0])
 
         return diverged
 
@@ -491,65 +471,3 @@ class PlayerCohort:
 
         # Same divergence rule as the vector path: crash or down-switch.
         return crashed or down
-
-    # -- materialisation -----------------------------------------------------
-    def materialise(self, player_id: int) -> "MaterialisedPlayer":
-        """Promote one player to individually-driven execution."""
-        if self.materialised[player_id]:
-            raise ValueError(f"player {player_id} is already materialised")
-        self.materialised[player_id] = True
-        return MaterialisedPlayer(self, player_id)
-
-    def reabsorb(self, player_id: int) -> None:
-        """Fold a re-converged materialised player back into the batch."""
-        self.materialised[player_id] = False
-
-    @property
-    def n_materialised(self) -> int:
-        return int(np.count_nonzero(self.materialised))
-
-    def batch_indices(self) -> np.ndarray:
-        """Indices the cohort driver advances (active, non-materialised)."""
-        return np.flatnonzero(self.active & ~self.materialised)
-
-
-class MaterialisedPlayer:
-    """An individually-driven view of one cohort player.
-
-    Holds no state of its own beyond the index: every read and write
-    goes through the cohort arrays, and :meth:`advance` runs the shared
-    kernel on a length-1 index array. ``last_divergence_tick`` is
-    bookkeeping for re-absorption and deliberately not part of any
-    digest.
-    """
-
-    __slots__ = ("cohort", "player_id", "idx", "last_divergence_tick")
-
-    def __init__(self, cohort: PlayerCohort, player_id: int):
-        self.cohort = cohort
-        self.player_id = int(player_id)
-        self.idx = np.array([self.player_id], dtype=np.int64)
-        self.last_divergence_tick = -1
-
-    def advance(self, tick: int) -> bool:
-        """Advance this player one tick; True if it diverged again."""
-        diverged = self.cohort._advance_one(self.player_id, tick)
-        if diverged:
-            self.last_divergence_tick = tick
-        return diverged
-
-    @property
-    def buffer_s(self) -> float:
-        return float(self.cohort.buffer_s[self.player_id])
-
-    @property
-    def tier(self) -> int:
-        return int(self.cohort.tier[self.player_id])
-
-    @property
-    def served_by(self) -> int:
-        return int(self.cohort.served_by[self.player_id])
-
-    def __repr__(self) -> str:
-        return (f"<MaterialisedPlayer id={self.player_id} "
-                f"tier={self.tier} buffer={self.buffer_s:.2f}s>")

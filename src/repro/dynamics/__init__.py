@@ -1,4 +1,4 @@
-"""Population-dynamics plans and their execution on the event kernel.
+"""Population-dynamics plans and their execution on the tick kernel.
 
 Public surface of the dynamics subsystem (DESIGN.md §14): the plan DSL
 (:mod:`repro.dynamics.plan`) and the kernel that runs a plan in either

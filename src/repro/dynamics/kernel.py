@@ -1,4 +1,4 @@
-"""Population dynamics on the cohort event kernel (DESIGN.md §14).
+"""Population dynamics on the cohort tick kernel (DESIGN.md §14).
 
 :class:`DynamicsKernel` extends :class:`~repro.core.cohort.CohortKernel`
 with membership: a compiled :class:`~repro.dynamics.plan.DynamicsPlan`
@@ -11,15 +11,17 @@ layer.
 
 Determinism contract (same as the base kernel, extended):
 
-* every membership edit happens in the **driver** event, before any
+* every membership edit is a **tick input**, applied before any
   advance of that tick, identically in both execution modes;
 * who leaves, who is shed and who moves are **counter-hash** draws —
   pure functions of ``(player_id, tick, salt)`` — never functions of
-  the materialised set (which is the one thing the modes disagree on);
+  the divergence mask (which is the one thing the modes disagree on);
 * join counts and mobility batch sizes are **compile-time Poisson
   realisations** from the plan's own seeded stream;
-* the per-player side effects of a migration are disjoint per player
-  and fire at the same simulated instants in both modes.
+* a migration runs on the kernel's one simulation
+  :class:`~repro.sim.engine.Environment`, which is run up to each tick
+  boundary before that tick's inputs, so its per-player side effects
+  land between the same two advances in both modes.
 
 Hence cohort ≡ per-player under any plan, and the empty plan (with
 ``initial_fraction=1.0``) is byte-identical to the static baseline:
@@ -44,6 +46,7 @@ from repro.core.overload import OVERLOAD_BUCKETS, OverloadParams
 from repro.dynamics.plan import CompiledDynamics, DynamicsPlan, compile_plan
 from repro.faults.failover import FailoverController, FailoverParams
 from repro.network.latency import LatencyParams
+from repro.sim.engine import Environment
 from repro.sim.rng import counter_u01
 
 #: Pluggable overload strategies: graceful degradation vs legacy
@@ -175,8 +178,9 @@ class DynamicsKernel(CohortKernel):
         # Live migration runs through the standard failover path with
         # timings scaled to land strictly inside a tick (detection at
         # 0.22·tick, switch 0.14·tick later) so no controller event ever
-        # collides with a tick boundary in either mode.
+        # collides with a tick boundary.
         tick_s = self.params.tick_s
+        self.env = Environment()
         self._move_target: dict[int, int] = {}
         self.mobility = FailoverController(
             self.env,
@@ -212,8 +216,12 @@ class DynamicsKernel(CohortKernel):
         if inst is not None:
             inst[key].inc(n)
 
-    # -- driver --------------------------------------------------------------
-    def _driver_fire(self, tick: int) -> None:
+    # -- tick inputs ---------------------------------------------------------
+    def _tick_inputs(self, tick: int) -> np.ndarray:
+        # Mid-tick migrations of the previous tick land first; the
+        # clock then sits on this tick's boundary.
+        if tick:
+            self.env.run(until=self.env.now + self.params.tick_s)
         self._hash_tick(tick)
         self._apply_fault_transitions(tick)
         # Previous tick's utilisation, captured before the congestion
@@ -222,31 +230,11 @@ class DynamicsKernel(CohortKernel):
         self._update_congestion()
         self._apply_overload(tick, util)
         self._apply_membership(tick, util)
-        self._apply_mobility(tick)
-        # Reschedule before the cohort advance spawns any chain at this
-        # tick, keeping the driver's sequence number lowest at tick + 1.
-        # (Membership events above only schedule at the current time or
-        # mid-tick, never at a future tick boundary.)
-        if tick + 1 < self.spec.n_ticks:
-            ev = self.env.timeout(self.params.tick_s)
-            ev.callbacks.append(lambda _e, t=tick + 1: self._driver_fire(t))
-        if self._cohort_mode:
-            idx = self.cohort.batch_indices()
-            if idx.size:
-                diverged = self.cohort.advance(idx, tick)
-                for pid in idx[diverged]:
-                    self._spawn(int(pid), tick)
-            for pid in self._forced.get(tick, ()):
-                if not self.cohort.materialised[pid]:
-                    self._spawn(pid, tick)
+        return self._apply_mobility(tick)
 
-    def _player_fire(self, mp, tick: int) -> None:
-        # A chain whose player has left folds back silently: no advance,
-        # no reschedule — in either mode. Rejoining re-materialises.
-        if not self.cohort.active[mp.player_id]:
-            self.cohort.reabsorb(mp.player_id)
-            return
-        super()._player_fire(mp, tick)
+    def _finish(self) -> int:
+        self.env.run()
+        return self.env._seq
 
     # -- overload ladder -----------------------------------------------------
     def _apply_overload(self, tick: int, util: np.ndarray) -> None:
@@ -323,10 +311,11 @@ class DynamicsKernel(CohortKernel):
         c.tier[pid] = p.n_tiers - 1
         c.last_switch[pid] = tick
         self.joins += 1
-        if not self._cohort_mode:
-            mp = self.cohort.materialise(pid)
+        if not self._cohort_mode and not self.materialised[pid]:
+            # Per-player mode marks every joiner, even one that leaves
+            # again within this tick.
+            self.materialised[pid] = True
             self.materialisations += 1
-            self._schedule_player(mp, tick, 0.0)
 
     def _apply_membership(self, tick: int, util: np.ndarray) -> None:
         comp = self.compiled
@@ -376,12 +365,12 @@ class DynamicsKernel(CohortKernel):
             self.leaves += int(ids.size)
 
     # -- mobility ------------------------------------------------------------
-    def _apply_mobility(self, tick: int) -> None:
-        batch = self.compiled.moves.get(tick)
-        if not batch:
-            return
+    def _apply_mobility(self, tick: int) -> np.ndarray:
+        """Start this tick's migrations; return the movers, which enter
+        the divergence mask like a diverging player."""
         c = self.cohort
-        for from_r, to_r, count in batch:
+        movers = []
+        for from_r, to_r, count in self.compiled.moves.get(tick, ()):
             cand = np.flatnonzero(c.active & (c.region == from_r))
             if self._move_target:
                 cand = cand[~np.isin(cand, list(self._move_target))]
@@ -394,8 +383,8 @@ class DynamicsKernel(CohortKernel):
                 self._move_target[pid] = int(to_r)
                 self.mobility.on_server_down(
                     pid, int(c.served_by[pid]), self.env.now)
-                if self._cohort_mode:
-                    self._forced.setdefault(tick, []).append(pid)
+                movers.append(pid)
+        return np.array(movers, dtype=np.int64)
 
     def _migrate_player(self, pid: int) -> str | None:
         to_r = self._move_target.pop(pid, None)
@@ -409,9 +398,6 @@ class DynamicsKernel(CohortKernel):
         return "supernode"
 
     # -- run -----------------------------------------------------------------
-    def _initial_player_ids(self):
-        return (int(p) for p in np.flatnonzero(self.cohort.active))
-
     def check_invariants(self) -> list[str]:
         """Membership-conservation and state-sanity checks (run after
         :meth:`run`); an empty list means every invariant held."""
@@ -430,7 +416,7 @@ class DynamicsKernel(CohortKernel):
             out.append(
                 f"population leak: {pooled} pooled + {active_now} active "
                 f"!= {self.spec.n_players}")
-        if np.any(c.materialised & ~c.active):
+        if np.any(self.materialised & ~c.active):
             out.append("inactive player still materialised")
         if np.any((c.served_by < 0) | (c.served_by >= self.spec.n_regions)):
             out.append("served_by out of range")

@@ -89,14 +89,43 @@ try:  # pragma: no cover - exercised only where zstandard is installed
 except ImportError:
     _zstd = None
 
-#: codec name -> (frame codec id, compress, decompress). Order is
-#: preference order for negotiation (best first).
+
+class ProtocolError(RuntimeError):
+    """A malformed frame (bad magic, oversized length, torn pickle)."""
+
+
+def _inflate_zlib(blob: bytes, limit: int) -> bytes:
+    """Decompress a zlib body, never producing more than ``limit + 1``
+    bytes: a small bomb frame must not allocate its full inflated size
+    before the size check."""
+    d = zlib.decompressobj()
+    out = d.decompress(blob, limit + 1)
+    if len(out) > limit:
+        raise ProtocolError(f"frame decompresses to over {limit} bytes")
+    if d.unconsumed_tail or d.unused_data or not d.eof:
+        raise ProtocolError("zlib frame body is truncated or has "
+                            "trailing bytes")
+    return out
+
+
+def _inflate_zstd(blob: bytes,
+                  limit: int) -> bytes:  # pragma: no cover - optional
+    """The zstd twin of :func:`_inflate_zlib`: a bounded streaming read."""
+    with _zstd.ZstdDecompressor().stream_reader(blob) as reader:
+        out = reader.read(limit + 1)
+    if len(out) > limit:
+        raise ProtocolError(f"frame decompresses to over {limit} bytes")
+    return out
+
+
+#: codec name -> (frame codec id, compress, bounded decompress). Order
+#: is preference order for negotiation (best first).
 _CODECS: dict[str, tuple] = {}
 if _zstd is not None:  # pragma: no cover - optional dependency
     _CODECS["zstd"] = (2,
                        lambda b: _zstd.ZstdCompressor().compress(b),
-                       lambda b: _zstd.ZstdDecompressor().decompress(b))
-_CODECS["zlib"] = (1, lambda b: zlib.compress(b, 6), zlib.decompress)
+                       _inflate_zstd)
+_CODECS["zlib"] = (1, lambda b: zlib.compress(b, 6), _inflate_zlib)
 
 _CODEC_BY_ID = {cid: (name, comp, decomp)
                 for name, (cid, comp, decomp) in _CODECS.items()}
@@ -128,10 +157,6 @@ def negotiate_codec(preference: Optional[str],
     if preference in _CODECS and preference in peers:
         return preference
     return None
-
-
-class ProtocolError(RuntimeError):
-    """A malformed frame (bad magic, oversized length, torn pickle)."""
 
 
 def parse_addr(addr: str) -> tuple[str, int]:
@@ -244,13 +269,12 @@ def recv_frame_sized(
                 f"frame compressed with unknown codec id {codec_id} "
                 f"(decodable here: {', '.join(_CODECS) or 'none'})")
         try:
-            blob = entry[2](blob)
+            blob = entry[2](blob, MAX_FRAME_BYTES)
+        except ProtocolError:
+            raise
         except Exception as exc:
             raise ProtocolError(
                 f"undecompressable {entry[0]} frame: {exc}") from exc
-        if len(blob) > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"frame decompressed to {len(blob)} bytes, over limit")
     try:
         kind, payload = pickle.loads(blob)
     except Exception as exc:

@@ -236,8 +236,7 @@ def _run_scale_point(scale: float, seed: int, p: dict) -> dict:
     spec = ScaleSpec(
         n_players=int(p["n_players"]), n_regions=int(p["n_regions"]),
         n_ticks=int(p["n_ticks"]), seed=int(p["task_seed"]),
-        mode=p["mode"], queue=p.get("queue", "calendar"),
-        faults=p.get("faults", "outage"))
+        mode=p["mode"], faults=p.get("faults", "outage"))
     report = run_scale(spec)
     return {
         "digest": report.digest,
@@ -246,7 +245,6 @@ def _run_scale_point(scale: float, seed: int, p: dict) -> dict:
         "p99_ms": report.p99_ms,
         "satisfied": report.satisfied_fraction,
         "materialisations": report.materialisations,
-        "events": report.events_scheduled,
     }
 
 
@@ -257,8 +255,7 @@ def _run_dynamics_point(scale: float, seed: int, p: dict) -> dict:
     base = ScaleSpec(
         n_players=int(p["n_players"]), n_regions=int(p["n_regions"]),
         n_ticks=int(p["n_ticks"]), seed=int(p["task_seed"]),
-        mode=p.get("mode", "cohort"), queue=p.get("queue", "calendar"),
-        faults="none")
+        mode=p.get("mode", "cohort"), faults="none")
     horizon = base.n_ticks * base.params.tick_s
     intensity = int(p["intensity"])
     plan = preset_dynamics(

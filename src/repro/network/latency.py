@@ -312,11 +312,6 @@ class RegionalLatency:
         """
         src = np.asarray(src_regions)
         dst = np.asarray(dst_regions)
-        if src.size == 1:
-            # Single-player path (materialised advance): same cached
-            # row, same float, no bincount.
-            return np.array(
-                [self.propagation_row_s(int(src[0]))[dst[0]]])
         out = np.empty(src.shape, dtype=np.float64)
         present = np.flatnonzero(
             np.bincount(src, minlength=self.n_regions))

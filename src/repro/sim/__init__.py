@@ -24,16 +24,7 @@ Core pieces
     own stream and experiments are reproducible bit-for-bit.
 """
 
-from repro.sim.calendar import CalendarQueue
-from repro.sim.engine import (
-    QUEUE_KINDS,
-    Environment,
-    SimulationError,
-    StopSimulation,
-    default_queue,
-    set_default_queue,
-    use_queue,
-)
+from repro.sim.engine import Environment, SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import PriorityStore, Resource, Store
@@ -42,20 +33,15 @@ from repro.sim.rng import RngRegistry
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Environment",
     "Event",
     "Interrupt",
     "PriorityStore",
     "Process",
-    "QUEUE_KINDS",
     "Resource",
     "RngRegistry",
     "SimulationError",
     "StopSimulation",
     "Store",
     "Timeout",
-    "default_queue",
-    "set_default_queue",
-    "use_queue",
 ]

@@ -1,80 +1,24 @@
 """The discrete-event simulation kernel.
 
-The :class:`Environment` owns the clock and the future event list.
-Entries are ``(time, sequence, event)`` tuples; the monotonically
-increasing sequence number breaks time ties in insertion order, so a run
-is a pure function of its inputs — the property PeerSim gives the
-paper's simulation and that the whole reproduction relies on.
+The :class:`Environment` owns the clock and the future event list, a
+binary heap (``heapq``) of ``(time, sequence, event)`` tuples. The
+monotonically increasing sequence number breaks time ties in insertion
+order, so a run is a pure function of its inputs — the property PeerSim
+gives the paper's simulation and that the whole reproduction relies on.
 
-Two interchangeable event structures back the list (DESIGN.md §11):
-
-``"heap"``
-    The classic binary heap (``heapq``), O(log n) per operation. The
-    default, and the reference for the determinism contract.
-``"calendar"``
-    A :class:`~repro.sim.calendar.CalendarQueue` — bucketed, amortized
-    O(1) per operation, the kernel that makes million-player populations
-    affordable. Pops events in exactly the same ``(time, seq)`` order as
-    the heap, so traces (and their digests) are byte-identical.
-
-Pick per environment via ``Environment(queue="calendar")``, or switch
-the process-wide default with :func:`set_default_queue` /
-:func:`use_queue` / the ``CLOUDFOG_SIM_QUEUE`` environment variable so
-existing figure specs and the chaos machinery run unchanged on either
-kernel.
+The packet-level sessions run every packet, timer and process on it.
+The population-scale kernels (DESIGN.md §11) advance players in a plain
+tick loop instead and use an environment only for the few mid-tick
+migration timers of the dynamics kernel.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-from contextlib import contextmanager
-from typing import Any, Generator, Iterator, Optional, Union
+from typing import Any, Generator, Optional, Union
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-
-#: Recognised future-event-list implementations.
-QUEUE_KINDS = ("heap", "calendar")
-
-
-def _validated_queue_kind(kind: str) -> str:
-    if kind not in QUEUE_KINDS:
-        raise ValueError(
-            f"unknown event queue kind {kind!r}; expected one of {QUEUE_KINDS}")
-    return kind
-
-
-_default_queue = _validated_queue_kind(
-    os.environ.get("CLOUDFOG_SIM_QUEUE", "heap"))
-
-
-def default_queue() -> str:
-    """The queue kind new :class:`Environment` instances use."""
-    return _default_queue
-
-
-def set_default_queue(kind: str) -> None:
-    """Set the process-wide default event queue kind."""
-    global _default_queue
-    _default_queue = _validated_queue_kind(kind)
-
-
-@contextmanager
-def use_queue(kind: str) -> Iterator[None]:
-    """Temporarily switch the default event queue kind.
-
-    >>> with use_queue("calendar"):
-    ...     env = Environment()  # calendar-backed
-    """
-    global _default_queue
-    previous = _default_queue
-    _default_queue = _validated_queue_kind(kind)
-    try:
-        yield
-    finally:
-        _default_queue = previous
 
 
 class SimulationError(Exception):
@@ -96,10 +40,6 @@ class Environment:
     ----------
     initial_time:
         Starting value of the clock (seconds).
-    queue:
-        Future-event-list implementation: ``"heap"`` or ``"calendar"``
-        (see the module docstring). ``None`` (default) resolves to
-        :func:`default_queue` at construction time.
 
     Examples
     --------
@@ -113,21 +53,11 @@ class Environment:
     5
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 queue: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self.queue_kind = _validated_queue_kind(
-            _default_queue if queue is None else queue)
-        self._cal: Optional[CalendarQueue] = None
-        if self.queue_kind == "calendar":
-            self._cal = CalendarQueue()
-            # Same instance-attribute swap enable_probe_hooks() uses:
-            # the heap fast paths stay byte-identical for the default.
-            self.schedule = self._schedule_calendar  # type: ignore[method-assign]
-            self.step = self._step_calendar  # type: ignore[method-assign]
         #: Probe hooks (see :mod:`repro.obs.probes`). ``on_schedule``
         #: callbacks receive ``(now_s, at_s, event)`` whenever an event is
         #: queued; ``on_step`` callbacks receive ``(now_s, event)`` as each
@@ -168,24 +98,6 @@ class Environment:
         for hook in self.on_schedule:
             hook(self._now, at, event)
 
-    def _schedule_calendar(self, event: Event, delay: float = 0.0) -> None:
-        """:meth:`schedule` against the calendar queue."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        self._cal.push(self._now + delay, self._seq, event)
-
-    def _schedule_calendar_instrumented(self, event: Event,
-                                        delay: float = 0.0) -> None:
-        """:meth:`_schedule_calendar` plus the ``on_schedule`` hooks."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        at = self._now + delay
-        self._cal.push(at, self._seq, event)
-        for hook in self.on_schedule:
-            hook(self._now, at, event)
-
     def enable_probe_hooks(self) -> None:
         """Activate the ``on_schedule``/``on_step`` hook lists.
 
@@ -194,23 +106,17 @@ class Environment:
         the unprobed hot paths byte-identical to the uninstrumented
         kernel (zero overhead, not merely a cheap check). Idempotent.
         """
-        if self._cal is not None:
-            self.schedule = self._schedule_calendar_instrumented  # type: ignore[method-assign]
-            self.step = self._step_calendar_instrumented  # type: ignore[method-assign]
-        else:
-            self.schedule = self._schedule_instrumented  # type: ignore[method-assign]
-            self.step = self._step_instrumented  # type: ignore[method-assign]
+        self.schedule = self._schedule_instrumented  # type: ignore[method-assign]
+        self.step = self._step_instrumented  # type: ignore[method-assign]
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._cal is not None:
-            return self._cal.peek_time()
         return self._heap[0][0] if self._heap else float("inf")
 
     @property
     def pending(self) -> int:
         """Number of events awaiting processing."""
-        return len(self._cal) if self._cal is not None else len(self._heap)
+        return len(self._heap)
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
@@ -266,40 +172,6 @@ class Environment:
         if not event._ok and not event.defused:
             self._raise_uncaught(event._value)
 
-    def _step_calendar(self) -> None:
-        """:meth:`step` against the calendar queue."""
-        cal = self._cal
-        if not cal:
-            raise SimulationError("step() on an empty schedule")
-        self._now, _, event = cal.pop()
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event.defused:
-            self._raise_uncaught(event._value)
-
-    def _step_calendar_instrumented(self) -> None:
-        """:meth:`_step_calendar` plus the ``on_step`` hooks."""
-        cal = self._cal
-        if not cal:
-            raise SimulationError("step() on an empty schedule")
-        self._now, _, event = cal.pop()
-        for hook in self.on_step:
-            hook(self._now, event)
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event.defused:
-            self._raise_uncaught(event._value)
-
     def _raise_uncaught(self, exc: BaseException) -> None:
         """Propagate an exception nobody handled out of the event loop."""
         raise exc
@@ -334,20 +206,11 @@ class Environment:
                     f"until={stop_at} lies in the past (now={self._now})")
 
         try:
-            if self._cal is None:
-                heap = self._heap
-                while heap:
-                    if stop_at is not None and heap[0][0] > stop_at:
-                        break
-                    self.step()
-            else:
-                cal = self._cal
-                while cal:
-                    # peek_time() caches the located bucket, so the pop
-                    # inside step() does not scan a second time.
-                    if stop_at is not None and cal.peek_time() > stop_at:
-                        break
-                    self.step()
+            heap = self._heap
+            while heap:
+                if stop_at is not None and heap[0][0] > stop_at:
+                    break
+                self.step()
         except StopSimulation as stop:
             return stop.value
 
@@ -361,8 +224,7 @@ class Environment:
         return None
 
     def __repr__(self) -> str:
-        return (f"<Environment now={self._now} pending={self.pending} "
-                f"queue={self.queue_kind}>")
+        return f"<Environment now={self._now} pending={self.pending}>"
 
 
 def _stop_callback(event: Event) -> None:

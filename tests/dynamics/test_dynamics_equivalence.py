@@ -98,6 +98,25 @@ class TestModeParity:
             per_player.joins, per_player.leaves, per_player.refused,
             per_player.shed, per_player.evicted, per_player.moves)
 
+    def test_evicted_player_rejoining_within_the_tick(self):
+        """A 2x flash crowd under mixed faults evicts players that a
+        same-tick join pops straight back out of the pool; per-player
+        mode marks a player once and stays equivalent."""
+        reports = {}
+        for mode in ("cohort", "per-player"):
+            base = ScaleSpec(n_players=500, n_regions=4, n_ticks=80,
+                             seed=3, mode=mode, faults="mixed")
+            plan = preset_dynamics(
+                "flash-crowd", horizon_s=base.n_ticks * base.params.tick_s,
+                n_players=base.n_players, n_regions=base.n_regions,
+                intensity=2, seed=3)
+            reports[mode] = run_dynamics(DynamicsSpec(
+                base=base, plan=plan, initial_fraction=0.5))
+        cohort, per_player = reports["cohort"], reports["per-player"]
+        assert cohort.evicted > 0
+        assert cohort.scale.digest == per_player.scale.digest
+        assert cohort.invariants == [] and per_player.invariants == []
+
     def test_mobility_migrates_in_both_modes(self):
         cohort = run_dynamics(_spec("cohort", preset="launch-day",
                                     initial_fraction=0.6))

@@ -10,16 +10,20 @@ results versus inline execution, and recovery (requeue through the
 import os
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
+import zlib
 
 import pytest
 
 from repro import __version__
 from repro.experiments import RunConfig, run_named
 from repro.experiments.api import ExperimentSpec, SweepTask
+from repro.experiments.backends import protocol
 from repro.experiments.backends.base import execute_task
 from repro.experiments.backends.protocol import (
     COMPRESS_MIN_BYTES,
@@ -163,6 +167,53 @@ class TestProtocol:
             a.sendall(b"BOGUS-PROTOCOL-GARBAGE-LONG-ENOUGH")
             with pytest.raises(ProtocolError, match="bad frame magic"):
                 recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    @staticmethod
+    def _send_zlib_frame(sock, body):
+        """Send ``body`` as a zlib-coded CFW2 frame from a thread (the
+        reader may stop before draining it)."""
+        frame = struct.pack(">4sBI", b"CFW2", 1, len(body)) + body
+        t = threading.Thread(target=sock.sendall, args=(frame,),
+                             daemon=True)
+        t.start()
+        return t
+
+    def test_compression_bomb_rejected_in_bounded_memory(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1 << 20)
+        comp = zlib.compressobj(9)
+        zeros = bytes(1 << 20)
+        body = b"".join(comp.compress(zeros) for _ in range(64))
+        body += comp.flush()  # 64 MiB of zeros in well under 1 MiB
+        del zeros
+        a, b = socket.socketpair()
+        try:
+            sender = self._send_zlib_frame(a, body)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ProtocolError, match="over"):
+                    recv_frame(b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+            assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MiB"
+        finally:
+            a.close()
+            b.close()
+
+    def test_trailing_bytes_after_zlib_stream_rejected(self):
+        body = zlib.compress(b"payload") + b"junk"
+        a, b = socket.socketpair()
+        try:
+            sender = self._send_zlib_frame(a, body)
+            with pytest.raises(ProtocolError, match="trailing"):
+                recv_frame(b)
+            sender.join(timeout=10)
+            assert not sender.is_alive()
         finally:
             a.close()
             b.close()

@@ -27,7 +27,7 @@ class TestScaleCli:
     def test_modes_print_identical_digest(self, capsys):
         assert main(ARGS + ["--mode", "cohort"]) == 0
         cohort = capsys.readouterr().out
-        assert main(ARGS + ["--mode", "per-player", "--queue", "heap"]) == 0
+        assert main(ARGS + ["--mode", "per-player"]) == 0
         per_player = capsys.readouterr().out
         pick = lambda text: [ln for ln in text.splitlines()
                              if "digest" in ln]

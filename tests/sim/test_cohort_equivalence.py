@@ -1,19 +1,10 @@
 """Cohort-kernel equivalence: vectorised and per-player runs are one trace.
 
-The cohort kernel's whole claim is that batching homogeneous players is
-an *optimisation*, not an approximation: for the same spec, the cohort
-run and the fully-materialised per-player run must produce byte-identical
-trace digests — across seeds, region counts, fault presets, and event
-queues. A Hypothesis property pushes further: forcing arbitrary players
-to materialise at arbitrary ticks (divergence without cause) must never
-change the digest either, because a materialised player executes exactly
-the cohort's state math.
+The cohort kernel's whole claim is that batching players is an
+*optimisation*, not an approximation: for the same spec, the vectorised
+cohort run and the player-by-player run must produce byte-identical
+trace digests — across seeds, region counts and fault presets.
 """
-
-from functools import lru_cache
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.cohort import FAULT_PRESETS, ScaleSpec, run_scale
 
@@ -54,17 +45,6 @@ class TestModeEquivalence:
                           faults=faults)
             assert a == b, f"faults={faults}"
 
-    def test_across_queues(self):
-        # Both axes at once: the vectorised run on the calendar queue
-        # against the individual run on the binary heap.
-        a = digest_of(n_players=N_PLAYERS, n_regions=4, n_ticks=N_TICKS,
-                      seed=4, mode="cohort", queue="calendar",
-                      faults="mixed")
-        b = digest_of(n_players=N_PLAYERS, n_regions=4, n_ticks=N_TICKS,
-                      seed=4, mode="per-player", queue="heap",
-                      faults="mixed")
-        assert a == b
-
     def test_different_seeds_differ(self):
         # The digest is not vacuous: different seeds, different traces.
         a = digest_of(n_players=N_PLAYERS, n_regions=4, n_ticks=N_TICKS,
@@ -78,40 +58,3 @@ class TestModeEquivalence:
                   seed=5, mode="cohort", faults="mixed")
         assert digest_of(**kw) == digest_of(**kw)
 
-
-@lru_cache(maxsize=None)
-def _baseline_digest(seed):
-    """The fully pre-materialised reference trace for one seed."""
-    return digest_of(n_players=200, n_regions=3, n_ticks=40, seed=seed,
-                     mode="per-player", faults="mixed")
-
-
-class TestForcedMaterialisation:
-    @given(
-        seed=st.integers(min_value=0, max_value=3),
-        forced=st.lists(
-            st.tuples(st.integers(min_value=1, max_value=39),
-                      st.integers(min_value=0, max_value=199)),
-            max_size=20, unique=True),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_random_materialisation_never_changes_digest(self, seed, forced):
-        got = run_scale(ScaleSpec(
-            n_players=200, n_regions=3, n_ticks=40, seed=seed,
-            mode="cohort", faults="mixed",
-            forced_materialisations=tuple(forced))).digest
-        assert got == _baseline_digest(seed)
-
-    def test_forced_players_do_materialise(self):
-        # Sanity: the forcing mechanism is live (a player with no
-        # organic divergence gets pulled out of the batch anyway).
-        base = run_scale(ScaleSpec(
-            n_players=200, n_regions=3, n_ticks=40, seed=9,
-            mode="cohort", faults="none"))
-        forced = run_scale(ScaleSpec(
-            n_players=200, n_regions=3, n_ticks=40, seed=9,
-            mode="cohort", faults="none",
-            forced_materialisations=tuple(
-                (1, pid) for pid in range(50))))
-        assert forced.materialisations >= base.materialisations + 40
-        assert forced.digest == base.digest
