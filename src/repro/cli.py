@@ -65,11 +65,8 @@ from repro.experiments.config import (
     COMPRESS_NAMES,
     RunConfig,
 )
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    run_experiment,
-    run_results,
-)
+from repro.experiments.runner import run_experiment, run_results
+from repro.experiments.specs import SPECS
 from repro.metrics.series import print_series
 from repro.streaming.video import QUALITY_LADDER
 
@@ -91,7 +88,8 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
     """Install the shared execution flags (backend, parallelism, cache,
     resilience) on ``parser``.
 
-    Every sweep-running subcommand gets the identical option surface;
+    The sweep-running subcommands (``cloudfog <figure|all>`` and
+    ``trace``) get the identical option surface;
     :meth:`repro.experiments.config.RunConfig.from_args` turns the
     parsed namespace into a :class:`RunConfig`.
     """
@@ -144,8 +142,8 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
         choices=COMPRESS_NAMES, metavar="CODEC",
         help="wire-frame compression for the remote backend: auto "
              "negotiates the best codec both peers support (zstd "
-             "where installed, zlib otherwise), none keeps legacy "
-             "uncompressed CFW1 frames (default auto)")
+             "where installed, zlib otherwise), none sends raw CFW2 "
+             "frames (default auto)")
     group.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="content-addressed result cache directory; re-runs skip "
@@ -185,6 +183,19 @@ def _config_from_args(parser: argparse.ArgumentParser,
         parser.error(str(exc))
 
 
+def _write_json(path: str, payload, what: str, *,
+                sort_keys: bool = True) -> None:
+    """Write ``payload`` as indented JSON to stdout (``path == "-"``)
+    or to ``path``, announcing the file as ``wrote <what> to PATH``."""
+    if path == "-":
+        json.dump(payload, sys.stdout, indent=2, sort_keys=sort_keys)
+        print()
+        return
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(payload, fp, indent=2, sort_keys=sort_keys)
+    print(f"wrote {what} to {path}")
+
+
 def _print_ladder() -> None:
     print("Figure 2 — video parameters for different quality levels")
     print(f"{'level':>5} {'resolution':>12} {'bitrate':>10} "
@@ -202,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "ladder"],
+        choices=sorted(SPECS) + ["all", "ladder"],
         help="which paper figure to regenerate",
     )
     parser.add_argument(
@@ -244,7 +255,8 @@ def build_trace_parser() -> argparse.ArgumentParser:
         help="write the trace as JSONL to PATH")
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write the aggregated metrics snapshot as JSON to PATH")
+        help="write the aggregated metrics snapshot as JSON to PATH "
+             "('-' = stdout)")
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
@@ -285,9 +297,7 @@ def trace_main(argv: list[str] | None = None) -> int:
         print(f"wrote {n} events to {args.out}")
     snapshot = obs.metrics.snapshot()
     if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fp:
-            json.dump(snapshot, fp, indent=2, sort_keys=True)
-        print(f"wrote {len(snapshot)} metrics to {args.metrics_out}")
+        _write_json(args.metrics_out, snapshot, f"{len(snapshot)} metrics")
 
     print(f"experiments: {' '.join(keys)}")
     print(f"events:      {len(obs.trace)}")
@@ -342,7 +352,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
-    add_execution_args(parser)
     return parser
 
 
@@ -355,10 +364,6 @@ def chaos_main(argv: list[str] | None = None) -> int:
 
     parser = build_chaos_parser()
     args = parser.parse_args(argv)
-    # Chaos runs one session rather than a sweep; the shared execution
-    # flags are accepted and validated so every subcommand speaks the
-    # same language, but only --cache-dir-independent checks matter.
-    _config_from_args(parser, args).close()
     plan = None
     if args.plan:
         with open(args.plan, encoding="utf-8") as fp:
@@ -379,13 +384,7 @@ def chaos_main(argv: list[str] | None = None) -> int:
         n = obs.trace.save(args.out)
         print(f"wrote {n} events to {args.out}")
     if args.json:
-        if args.json == "-":
-            json.dump(report, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(report, fp, indent=2, sort_keys=True)
-            print(f"wrote chaos report to {args.json}")
+        _write_json(args.json, report, "chaos report")
 
     fs = report["fault_stats"] or {}
     plan_desc = (args.plan if args.plan
@@ -456,7 +455,6 @@ def build_orchestrate_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
-    add_execution_args(parser)
     return parser
 
 
@@ -472,9 +470,6 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
 
     parser = build_orchestrate_parser()
     args = parser.parse_args(argv)
-    # One comparison run rather than a sweep; shared execution flags are
-    # accepted and validated so every subcommand speaks the same language.
-    _config_from_args(parser, args).close()
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     for s in strategies:
         if s not in STRATEGY_NAMES:
@@ -505,13 +500,7 @@ def orchestrate_main(argv: list[str] | None = None) -> int:
             "strategies": reports,
             "digests": digests,
         }
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-            print(f"wrote orchestration report to {args.json}")
+        _write_json(args.json, payload, "orchestration report")
 
     first = reports[strategies[0]]
     print(f"scenario:    skew={args.skew} churn={args.churn} "
@@ -573,7 +562,6 @@ def build_scale_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="PATH",
         help="emit the report as JSON to PATH ('-' = stdout)")
-    add_execution_args(parser)
     return parser
 
 
@@ -583,9 +571,6 @@ def scale_main(argv: list[str] | None = None) -> int:
 
     parser = build_scale_parser()
     args = parser.parse_args(argv)
-    # Single-kernel run (no sweep); accept + validate the shared
-    # execution flags so all subcommands take identical options.
-    _config_from_args(parser, args).close()
     try:
         spec = ScaleSpec(
             n_players=args.players, n_regions=args.regions,
@@ -597,14 +582,7 @@ def scale_main(argv: list[str] | None = None) -> int:
     report = run_scale(spec)
     elapsed = time.time() - t0
     if args.json is not None:
-        payload = report.to_dict()
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-            print(f"wrote scale report to {args.json}")
+        _write_json(args.json, report.to_dict(), "scale report")
     print(report.format_text())
     print(f"[{elapsed:.1f}s, "
           f"{report.player_ticks / max(elapsed, 1e-9):,.0f} player-ticks/s]")
@@ -663,7 +641,6 @@ def build_dynamics_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="PATH",
         help="emit the report as JSON to PATH ('-' = stdout)")
-    add_execution_args(parser)
     return parser
 
 
@@ -681,9 +658,6 @@ def dynamics_main(argv: list[str] | None = None) -> int:
 
     parser = build_dynamics_parser()
     args = parser.parse_args(argv)
-    # One kernel run, not a sweep; validate the shared execution flags
-    # so every subcommand accepts the same options.
-    _config_from_args(parser, args).close()
     try:
         base = ScaleSpec(
             n_players=args.players, n_regions=args.regions,
@@ -709,14 +683,7 @@ def dynamics_main(argv: list[str] | None = None) -> int:
         report = run_dynamics(dspec, obs=obs)
     elapsed = time.time() - t0
     if args.json is not None:
-        payload = report.to_dict()
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2, sort_keys=True)
-            print(f"wrote dynamics report to {args.json}")
+        _write_json(args.json, report.to_dict(), "dynamics report")
     plan_desc = (args.plan if args.plan
                  else f"{args.preset} @ intensity {args.intensity}")
     print(f"plan:       {plan_desc} ({len(plan)} sources)")
@@ -788,7 +755,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
         "--compress", nargs="?", const="auto", default="auto",
         choices=COMPRESS_NAMES, metavar="CODEC",
         help="wire-frame compression policy negotiated with the "
-             "scheduler (default auto; none = legacy CFW1 frames)")
+             "scheduler (default auto; none = raw CFW2 frames)")
     parser.add_argument(
         "--scheduler-timeout", type=float,
         default=DEFAULT_SCHEDULER_TIMEOUT_S, metavar="S",
@@ -818,21 +785,23 @@ def worker_main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
 
+#: ``cloudfog <name> ...`` subcommands; any other first argument is an
+#: experiment key for the sweep runner in :func:`main`.
+_SUBCOMMANDS = {
+    "trace": trace_main,
+    "chaos": chaos_main,
+    "orchestrate": orchestrate_main,
+    "scale": scale_main,
+    "dynamics": dynamics_main,
+    "worker": worker_main,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "orchestrate":
-        return orchestrate_main(argv[1:])
-    if argv and argv[0] == "scale":
-        return scale_main(argv[1:])
-    if argv and argv[0] == "dynamics":
-        return dynamics_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return worker_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment == "ladder":
@@ -846,7 +815,7 @@ def main(argv: list[str] | None = None) -> int:
     cache = cfg.cache
 
     t0 = time.time()
-    names = (list(EXPERIMENTS) if args.experiment == "all"
+    names = (list(SPECS) if args.experiment == "all"
              else [args.experiment])
     run_results_by_name = {}
     try:
@@ -880,14 +849,9 @@ def main(argv: list[str] | None = None) -> int:
             name: [s.to_dict() for s in series]
             for name, series in results.items()
         }
-        if args.json == "-":
-            json.dump(payload, sys.stdout, indent=2)
-            print()
-        else:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(payload, fp, indent=2)
-            print(f"wrote {sum(len(v) for v in payload.values())} series "
-                  f"to {args.json}")
+        _write_json(args.json, payload,
+                    f"{sum(len(v) for v in payload.values())} series",
+                    sort_keys=False)
     elif args.plot:
         from repro.metrics.ascii_plot import print_chart
         for name, series in results.items():

@@ -1,18 +1,17 @@
 """Wire protocol for the remote sweep fabric.
 
-One frame = one message, length-prefixed over a stream socket. Two
-frame revisions coexist on the same connection (the receiver switches
-on the magic, so a peer may change revision mid-stream)::
+One frame = one message, length-prefixed over a stream socket, in one
+revision (CFW2)::
 
-    CFW1:  | 4-byte magic b"CFW1" | >I payload length | pickle |
-    CFW2:  | 4-byte magic b"CFW2" | >B codec | >I body length | body |
+    | 4-byte magic b"CFW2" | >B codec | >I body length | body |
 
-where the CFW1 payload is ``pickle((kind, payload))`` — ``kind`` a
-short string, ``payload`` a dict — and the CFW2 body is that same
-pickle run through the frame's codec (``0`` = raw, ``1`` = zlib,
-``2`` = zstd). Small frames ship raw even on a compressed channel
-(compression below :data:`COMPRESS_MIN_BYTES` costs more than it
-saves), so heartbeats stay a handful of bytes.
+where the body is ``pickle((kind, payload))`` — ``kind`` a short
+string, ``payload`` a dict — run through the frame's codec (``0`` =
+raw, ``1`` = zlib, ``2`` = zstd). An uncompressed channel sends every
+frame raw (codec id 0). Small frames ship raw even on a compressed
+channel (compression below :data:`COMPRESS_MIN_BYTES` costs more than
+it saves), so heartbeats stay a handful of bytes. Any other magic is a
+:class:`ProtocolError`.
 
 The conversation:
 
@@ -20,14 +19,14 @@ The conversation:
 kind       direction   payload
 ========== =========== ====================================================
 hello      worker → s  ``worker`` id, ``pid``, ``version``, ``slots``,
-                       ``wire`` (protocol revision), ``codecs`` the
-                       worker can decode
-hello      s → worker  the CFW2 acknowledgement: the negotiated
+                       ``wire`` (must equal :data:`WIRE_REVISION`),
+                       ``codecs`` the worker can decode
+hello      s → worker  the acknowledgement: the negotiated
                        ``codec`` (both directions), the scheduler's
                        ``codecs``, ``wire``, and ``heartbeat_s`` — the
                        interval at which the scheduler promises to
                        pulse, arming the worker's scheduler-silence
-                       deadline. Never sent to a CFW1 peer.
+                       deadline.
 task       s → worker  ``tid``, ``index``, ``task`` (SweepTask), ``scale``,
                        ``seed``, ``capture``, ``digest`` (content
                        address, or None when uncached), ``have`` (the
@@ -48,10 +47,9 @@ bye        either      polite close (a worker serving ``--listen`` goes
                        back to accepting; ``--once`` exits)
 ========== =========== ====================================================
 
-Unknown kinds are ignored by both sides, which is what lets a CFW2
-scheduler speak to a CFW1 worker for the one-release compatibility
-window: negotiation is opt-in (no ``wire`` field in the hello → no
-acknowledgement, no compressed frames, no scheduler heartbeats).
+Unknown kinds are ignored by both sides. A hello whose ``wire`` is not
+:data:`WIRE_REVISION` (or that has none) is refused by the scheduler,
+the same way version skew is.
 
 Frames are pickled, so the fabric assumes *mutual trust*: anything that
 can connect to the scheduler's listen port (or that a worker dials) can
@@ -68,10 +66,8 @@ import threading
 import zlib
 from typing import Any, Optional
 
-MAGIC = b"CFW1"
-MAGIC2 = b"CFW2"
-_HEADER = struct.Struct(">4sI")
-_HEADER2 = struct.Struct(">4sBI")
+MAGIC = b"CFW2"
+_HEADER = struct.Struct(">4sBI")
 
 #: Current protocol revision advertised in hellos.
 WIRE_REVISION = 2
@@ -215,32 +211,28 @@ def send_frame(sock: socket.socket, kind: str,
                codec: Optional[str] = None) -> int:
     """Serialize and send one ``(kind, payload)`` frame.
 
-    ``codec=None`` emits a legacy CFW1 frame; a codec name emits a
-    CFW2 frame compressed with it (frames under
-    :data:`COMPRESS_MIN_BYTES`, or that compression fails to shrink,
-    ship raw inside the CFW2 envelope). Returns the frame's size in
-    bytes — the wire-byte accounting the fabric benchmarks read.
+    ``codec=None`` sends a raw frame (codec id 0); a codec name
+    compresses with it (frames under :data:`COMPRESS_MIN_BYTES`, or
+    that compression fails to shrink, still ship raw). Returns the
+    frame's size in bytes — the wire-byte accounting the fabric
+    benchmarks read.
     """
     blob = pickle.dumps((kind, payload or {}),
                         protocol=pickle.HIGHEST_PROTOCOL)
-    if codec is None:
-        header = _HEADER.pack(MAGIC, len(blob))
-    else:
-        codec_id = 0
-        if len(blob) >= COMPRESS_MIN_BYTES:
-            cid, compress, _decomp = _CODECS[codec]
-            packed = compress(blob)
-            if len(packed) < len(blob):
-                blob, codec_id = packed, cid
-        header = _HEADER2.pack(MAGIC2, codec_id, len(blob))
+    codec_id = 0
+    if codec is not None and len(blob) >= COMPRESS_MIN_BYTES:
+        cid, compress, _decomp = _CODECS[codec]
+        packed = compress(blob)
+        if len(packed) < len(blob):
+            blob, codec_id = packed, cid
+    header = _HEADER.pack(MAGIC, codec_id, len(blob))
     _sendall_scatter(sock, header, blob)
     return len(header) + len(blob)
 
 
 def recv_frame(sock: socket.socket) -> tuple[str, dict[str, Any]]:
-    """Receive one frame (either revision); raises :class:`EOFError`
-    on a clean close at a frame boundary, :class:`ProtocolError` on a
-    malformed frame."""
+    """Receive one frame; raises :class:`EOFError` on a clean close at
+    a frame boundary, :class:`ProtocolError` on a malformed frame."""
     kind, payload, _n = recv_frame_sized(sock)
     return kind, payload
 
@@ -249,15 +241,8 @@ def recv_frame_sized(
         sock: socket.socket) -> tuple[str, dict[str, Any], int]:
     """:func:`recv_frame` plus the frame's size in bytes."""
     header = _recv_exact(sock, _HEADER.size, eof_ok=True)
-    magic = header[:4]
-    if magic == MAGIC:
-        _magic, length = _HEADER.unpack(header)
-        codec_id, size = 0, _HEADER.size + length
-    elif magic == MAGIC2:
-        header += _recv_exact(sock, _HEADER2.size - _HEADER.size)
-        _magic, codec_id, length = _HEADER2.unpack(header)
-        size = _HEADER2.size + length
-    else:
+    magic, codec_id, length = _HEADER.unpack(header)
+    if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds limit")
@@ -279,7 +264,7 @@ def recv_frame_sized(
         kind, payload = pickle.loads(blob)
     except Exception as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
-    return kind, payload, size
+    return kind, payload, _HEADER.size + length
 
 
 def _recv_exact(sock: socket.socket, n: int, eof_ok: bool = False) -> bytes:
@@ -303,9 +288,10 @@ class Channel:
     ``send`` is serialized by an internal lock so a worker's heartbeat
     thread, result callbacks and main loop (or the scheduler's idle
     heartbeat pump and select loop) can share the connection without
-    interleaving frames. ``codec`` is the *transmit* codec — receiving
-    is always magic-dispatched, so either side may upgrade the moment
-    negotiation completes without racing frames already in flight.
+    interleaving frames. ``codec`` is the *transmit* codec — each
+    received frame names its own codec id, so either side may upgrade
+    the moment negotiation completes without racing frames already in
+    flight.
     """
 
     __slots__ = ("sock", "codec", "bytes_in", "bytes_out", "_lock")

@@ -20,9 +20,10 @@ scheduler to notice a free slot. Results stream back as slots free
 up; the scheduler merges in task order, never completion order.
 
 Wire frames are CFW2 with per-channel compression negotiated at
-hello time (zstd where both sides have it, zlib otherwise; legacy
-CFW1 peers get uncompressed CFW1 frames for one release — see
-:mod:`~repro.experiments.backends.protocol`). Task frames carry the
+hello time (zstd where both sides have it, zlib otherwise; see
+:mod:`~repro.experiments.backends.protocol`). A worker whose hello
+does not carry ``wire == WIRE_REVISION`` is refused, like a
+version-skewed one. Task frames carry the
 task's content-address digest, and when the scheduler's store already
 holds the blob (possible only when cache reads are bypassed by an
 attached obs context) the frame says so — the worker then answers
@@ -106,15 +107,13 @@ class RemoteFabricError(RuntimeError):
 class _Worker:
     """Scheduler-side state for one connected worker."""
 
-    __slots__ = ("channel", "id", "pid", "slots", "wire", "inflight",
-                 "last_seen")
+    __slots__ = ("channel", "id", "pid", "slots", "inflight", "last_seen")
 
     def __init__(self, channel: Channel, hello: dict):
         self.channel = channel
         self.id = str(hello.get("worker", "?"))
         self.pid = hello.get("pid")
         self.slots = max(1, int(hello.get("slots", 1)))
-        self.wire = int(hello.get("wire", 1))
         #: tid -> (task index, attempt, deadline or None)
         self.inflight: dict[int, tuple[int, int, Optional[float]]] = {}
         self.last_seen = time.monotonic()
@@ -229,7 +228,7 @@ class RemoteBackend(ExecutionBackend):
         self._started = True
 
     def _start_pump(self) -> None:
-        """Pulse every CFW2 worker so their scheduler-silence deadlines
+        """Pulse every worker so their scheduler-silence deadlines
         never trip while the fabric is healthy — including the idle
         stretches between ``execute`` calls, when no select loop runs."""
         if self._pump_thread is not None:
@@ -239,11 +238,10 @@ class RemoteBackend(ExecutionBackend):
         def pump() -> None:
             while not stop.wait(self.heartbeat_interval_s):
                 for worker in list(self._workers.values()):
-                    if worker.wire >= WIRE_REVISION:
-                        try:
-                            worker.channel.send("heartbeat")
-                        except OSError:
-                            pass  # the select loop will see the EOF
+                    try:
+                        worker.channel.send("heartbeat")
+                    except OSError:
+                        pass  # the select loop will see the EOF
 
         thread = threading.Thread(target=pump, daemon=True,
                                   name="fabric-heartbeat")
@@ -351,41 +349,44 @@ class RemoteBackend(ExecutionBackend):
             sock.close()
             raise RemoteFabricError(
                 f"worker at {where} opened with {kind!r}, expected hello")
+        # A version-skewed worker would compute payloads the cache
+        # material says belong to a different code version; a worker on
+        # another wire revision would misread the frames.
+        refusal = None
         if hello.get("version") != __version__:
-            # A version-skewed worker would compute payloads the cache
-            # material says belong to a different code version.
+            refusal = (f"runs version {hello.get('version')!r}, "
+                       f"scheduler runs {__version__!r}")
+        elif hello.get("wire") != WIRE_REVISION:
+            refusal = (f"speaks wire revision {hello.get('wire')!r}, "
+                       f"scheduler speaks {WIRE_REVISION}")
+        if refusal is not None:
             try:
                 send_frame(sock, "bye")
             except OSError:
                 pass
             sock.close()
             raise RemoteFabricError(
-                f"worker {hello.get('worker')!r} at {where} runs version "
-                f"{hello.get('version')!r}, scheduler runs {__version__!r}")
+                f"worker {hello.get('worker')!r} at {where} {refusal}")
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         worker = _Worker(Channel(sock), hello)
-        if worker.wire >= WIRE_REVISION:
-            # CFW2 acknowledgement: settle the channel codec (both
-            # directions) and promise heartbeats, arming the worker's
-            # scheduler-silence deadline. Legacy CFW1 peers get no ack
-            # and keep an uncompressed, unpulsed channel for one
-            # release.
-            codec = negotiate_codec(self.compress,
-                                    hello.get("codecs", ()))
-            try:
-                worker.channel.send("hello", {
-                    "wire": WIRE_REVISION,
-                    "codec": codec,
-                    "codecs": available_codecs(),
-                    "heartbeat_s": self.heartbeat_interval_s,
-                })
-            except OSError as exc:
-                self._retire_channel(worker.channel)
-                raise RemoteFabricError(
-                    f"worker at {where} dropped the connection during "
-                    f"negotiation: {exc}") from exc
-            worker.channel.codec = codec
+        # Acknowledge: settle the channel codec (both directions) and
+        # promise heartbeats, arming the worker's scheduler-silence
+        # deadline.
+        codec = negotiate_codec(self.compress, hello.get("codecs", ()))
+        try:
+            worker.channel.send("hello", {
+                "wire": WIRE_REVISION,
+                "codec": codec,
+                "codecs": available_codecs(),
+                "heartbeat_s": self.heartbeat_interval_s,
+            })
+        except OSError as exc:
+            self._retire_channel(worker.channel)
+            raise RemoteFabricError(
+                f"worker at {where} dropped the connection during "
+                f"negotiation: {exc}") from exc
+        worker.channel.codec = codec
         self._workers[sock] = worker
         return worker
 

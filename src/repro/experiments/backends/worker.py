@@ -46,15 +46,14 @@ trace events).
 
 **Liveness, both directions.** A background thread heartbeats
 worker → scheduler so the scheduler can tell "busy with a long task"
-from "frozen". Since CFW2 the scheduler pulses back: its hello
-acknowledgement promises a heartbeat interval, which arms the
-worker's *scheduler-silence deadline* — if no frame at all arrives
-within ``scheduler_timeout_s`` the worker declares the scheduler dead,
+from "frozen". The scheduler pulses back: its hello acknowledgement
+promises a heartbeat interval, which arms the worker's
+*scheduler-silence deadline* — if no frame at all arrives within
+``scheduler_timeout_s`` the worker declares the scheduler dead,
 abandons the connection and (under ``--listen``) returns to accepting
 instead of hanging on a socket whose peer vanished without a FIN. The
-deadline is only armed by the acknowledgement, so a legacy CFW1
-scheduler that goes quiet while waiting for results is never
-false-dropped.
+deadline is only armed by the acknowledgement, so a worker whose hello
+the scheduler has not yet read is never false-dropped.
 
 A task that raises is reported as an ``error`` frame (the scheduler
 maps it onto the ``exception`` failure kind and retries elsewhere); a
@@ -174,7 +173,7 @@ def serve_connection(sock: socket.socket, worker_id: str,
 
     pool = PoolManager(slots) if slots > 1 else None
     inflight: dict = {}  # future -> task frame payload
-    acked = False  # scheduler sent a CFW2 hello-ack (it will pulse)
+    acked = False  # scheduler sent its hello-ack (it will pulse)
     last_frame = time.monotonic()
 
     def reply(payload: dict) -> Optional[tuple[str, dict]]:
@@ -252,7 +251,7 @@ def serve_connection(sock: socket.socket, worker_id: str,
                 if kind == "bye":
                     return "bye"
                 if kind == "hello":
-                    # CFW2 acknowledgement: adopt the negotiated
+                    # Hello acknowledgement: adopt the negotiated
                     # transmit codec and arm the silence deadline.
                     channel.codec = negotiate_codec(
                         compress, (payload.get("codec"),))

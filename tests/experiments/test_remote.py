@@ -8,6 +8,7 @@ results versus inline execution, and recovery (requeue through the
 """
 
 import os
+import pickle
 import re
 import socket
 import struct
@@ -24,7 +25,6 @@ from repro import __version__
 from repro.experiments import RunConfig, run_named
 from repro.experiments.api import ExperimentSpec, SweepTask
 from repro.experiments.backends import protocol
-from repro.experiments.backends.base import execute_task
 from repro.experiments.backends.protocol import (
     COMPRESS_MIN_BYTES,
     Channel,
@@ -90,7 +90,7 @@ class TestProtocol:
     def test_negotiate_codec(self):
         assert "zlib" in available_codecs()
         assert negotiate_codec("auto", ("zlib",)) == "zlib"
-        assert negotiate_codec("auto", ()) is None  # CFW1 peer
+        assert negotiate_codec("auto", ()) is None  # peer lists no codec
         assert negotiate_codec("none", ("zlib",)) is None
         assert negotiate_codec(None, ("zlib",)) is None
         assert negotiate_codec("zlib", ("zstd", "zlib")) == "zlib"
@@ -102,8 +102,8 @@ class TestProtocol:
         try:
             payload = {"blob": "x" * (COMPRESS_MIN_BYTES * 8)}
             n2 = send_frame(a, "result", payload, codec="zlib")
-            n1 = send_frame(a, "result", payload)  # CFW1, uncompressed
-            assert n2 < n1  # the compressible payload actually shrank
+            n0 = send_frame(a, "result", payload)  # raw CFW2, codec id 0
+            assert n2 < n0  # the compressible payload actually shrank
             assert recv_frame(b) == ("result", payload)
             assert recv_frame(b) == ("result", payload)
         finally:
@@ -113,11 +113,11 @@ class TestProtocol:
     def test_small_frames_ship_raw_on_compressed_channel(self):
         a, b = socket.socketpair()
         try:
-            # Below COMPRESS_MIN_BYTES the CFW2 frame is raw: exactly
-            # one byte (the codec id) larger than its CFW1 twin.
+            # Below COMPRESS_MIN_BYTES a compressed channel ships the
+            # frame raw: byte for byte the frame of an uncompressed one.
             n2 = send_frame(a, "heartbeat", codec="zlib")
-            n1 = send_frame(a, "heartbeat")
-            assert n2 == n1 + 1
+            n0 = send_frame(a, "heartbeat")
+            assert n2 == n0
             assert recv_frame(b) == ("heartbeat", {})
             assert recv_frame(b) == ("heartbeat", {})
         finally:
@@ -165,6 +165,18 @@ class TestProtocol:
         a, b = socket.socketpair()
         try:
             a.sendall(b"BOGUS-PROTOCOL-GARBAGE-LONG-ENOUGH")
+            with pytest.raises(ProtocolError, match="bad frame magic"):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_cfw1_frame_rejected(self):
+        # The retired first wire revision: | b"CFW1" | >I len | pickle |.
+        blob = pickle.dumps(("heartbeat", {}))
+        a, b = socket.socketpair()
+        try:
+            a.sendall(struct.pack(">4sI", b"CFW1", len(blob)) + blob)
             with pytest.raises(ProtocolError, match="bad frame magic"):
                 recv_frame(b)
         finally:
@@ -329,7 +341,7 @@ class TestWorkerLoss:
             with sock:
                 send_frame(sock, "hello", {"worker": "frozen", "pid": 0,
                                            "version": __version__,
-                                           "slots": 1})
+                                           "slots": 1, "wire": 2})
                 try:
                     while recv_frame(sock):
                         pass  # swallow tasks, never reply
@@ -411,6 +423,41 @@ class TestWorkerLoss:
             cfg.close()
             srv.close()
 
+    def test_worker_without_wire_revision_is_refused(self):
+        # A peer on the retired first revision: right version, but its
+        # hello carries no ``wire``. The scheduler says bye and refuses
+        # it, the way it refuses version skew.
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(1)
+        addr = format_addr(srv.getsockname()[:2])
+        replies: list[str] = []
+
+        def old_peer():
+            sock, _ = srv.accept()
+            with sock:
+                send_frame(sock, "hello", {"worker": "old", "pid": 0,
+                                           "version": __version__,
+                                           "slots": 1})
+                try:
+                    replies.append(recv_frame(sock)[0])
+                except (EOFError, ProtocolError, OSError):
+                    pass
+
+        thread = threading.Thread(target=old_peer, daemon=True)
+        thread.start()
+        cfg = RunConfig(backend="remote", workers=(addr,))
+        try:
+            with pytest.raises(RemoteFabricError,
+                               match="speaks wire revision None"):
+                run_spec(probe_spec(clean_params()), SCALE, SEED,
+                         config=cfg)
+        finally:
+            cfg.close()
+            srv.close()
+        thread.join(timeout=10)
+        assert replies == ["bye"]
+
 
 def _ipv6_loopback_available() -> bool:
     if not socket.has_ipv6:
@@ -458,55 +505,37 @@ class TestThroughputFabric:
         assert remote.digest == inline.digest
         assert remote.metrics == inline.metrics
 
-    def test_mixed_wire_revision_fabric_matches_inline(self):
-        # A hand-rolled CFW1 peer (no ``wire`` in its hello, speaks
-        # only uncompressed legacy frames) serving alongside a launched
-        # CFW2 worker under a compressing scheduler. Both must receive
-        # frames they understand and the merged run must stay
-        # byte-identical to inline.
-        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.bind(("127.0.0.1", 0))
-        srv.listen(1)
-        addr = format_addr(srv.getsockname()[:2])
-        served: list[int] = []
+    def test_uncompressed_fabric_matches_inline(self, monkeypatch):
+        # compress="none": every frame either way is raw CFW2 (codec id
+        # 0), even result frames large enough that "auto" compresses.
+        sent, received = [], []
+        scatter = protocol._sendall_scatter
+        recv_exact = protocol._recv_exact
 
-        def legacy_peer():
-            sock, _ = srv.accept()
-            with sock:
-                send_frame(sock, "hello", {"worker": "legacy", "pid": 0,
-                                           "version": __version__})
-                try:
-                    while True:
-                        kind, payload = recv_frame(sock)
-                        if kind == "bye":
-                            return
-                        if kind != "task":
-                            continue
-                        out = execute_task(
-                            payload["task"], payload["scale"],
-                            payload["seed"],
-                            payload.get("capture", False))
-                        send_frame(sock, "result",
-                                   {"tid": payload["tid"],
-                                    "index": payload["index"],
-                                    "payload": out})
-                        served.append(payload["index"])
-                except (EOFError, ProtocolError, OSError):
-                    return
+        def record_sent(sock, header, blob):
+            sent.append(header)
+            scatter(sock, header, blob)
 
-        thread = threading.Thread(target=legacy_peer, daemon=True)
-        thread.start()
-        inline = run_named("fig5a", SCALE, SEED)
-        backend = RemoteBackend(workers=(addr,), launch=1,
-                                compress="auto")
-        try:
-            with RunConfig(backend=backend) as cfg:
-                remote = run_named("fig5a", SCALE, SEED, config=cfg)
-        finally:
-            srv.close()
+        def record_received(sock, n, eof_ok=False):
+            data = recv_exact(sock, n, eof_ok)
+            if eof_ok:  # a frame header, never a body
+                received.append(data)
+            return data
+
+        monkeypatch.setattr(protocol, "_sendall_scatter", record_sent)
+        monkeypatch.setattr(protocol, "_recv_exact", record_received)
+        # fig8a: its result frames are over COMPRESS_MIN_BYTES.
+        inline = run_named("fig8a", SCALE, SEED)
+        with RunConfig(backend="remote", launch=2,
+                       compress="none") as cfg:
+            remote = run_named("fig8a", SCALE, SEED, config=cfg)
         assert remote.digest == inline.digest
         assert remote.metrics == inline.metrics
-        assert served  # the CFW1 peer really carried some of the sweep
+        headers = [struct.unpack(">4sBI", h) for h in sent + received]
+        assert sent and received
+        assert {(magic, codec) for magic, codec, _ in headers} == {
+            (b"CFW2", 0)}
+        assert max(n for _, _, n in headers) >= COMPRESS_MIN_BYTES
 
     def test_warm_rerun_ships_hashes_not_blobs(self, tmp_path):
         # Cold run fills the scheduler store; a warm re-run with a

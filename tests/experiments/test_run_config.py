@@ -1,9 +1,8 @@
 """RunConfig: the unified execution-options surface.
 
 Validation lives in one place (``RunConfig.__post_init__``), the CLI
-maps onto it through ``RunConfig.from_args``, and the pre-RunConfig
-keyword sprawl keeps working for one release through ``coerce_config``
-with exactly one :class:`DeprecationWarning` per call.
+maps onto it through ``RunConfig.from_args``, and ``config=`` is the
+only way the run entry points accept execution options.
 """
 
 import argparse
@@ -19,10 +18,13 @@ from repro.experiments import (
     ResultCache,
     RunConfig,
     resolve_jobs,
+    run_all,
     run_experiment,
     run_named,
+    run_results,
+    run_spec,
 )
-from repro.experiments.config import coerce_config
+from repro.experiments.specs import get_spec
 
 
 class TestResolveJobs:
@@ -225,6 +227,14 @@ class TestFromArgs:
         assert cfg.prefetch == 1
         assert cfg.compress == "auto"
 
+    def test_cli_slots_zero_is_a_usage_error(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5a", "--scale", "0.01", "--launch", "1",
+                  "--slots", "0"])
+        assert exc.value.code == 2
+        assert "slots must be >= 1, got 0" in capsys.readouterr().err
+
     def test_cli_compress_explicit_codec(self):
         from repro.cli import add_execution_args
         parser = argparse.ArgumentParser()
@@ -233,37 +243,20 @@ class TestFromArgs:
         assert RunConfig.from_args(args).compress == "none"
 
 
-class TestLegacyKeywordShim:
-    def test_config_passthrough(self):
-        cfg = RunConfig(jobs=2)
-        assert coerce_config(cfg) is cfg
-
-    def test_no_arguments_builds_default(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning expected
-            cfg = coerce_config(None)
-        assert cfg.jobs == 1
-
-    def test_config_plus_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            coerce_config(RunConfig(), jobs=4)
-
-    def test_legacy_kwargs_warn_once(self):
-        with pytest.warns(DeprecationWarning) as record:
-            cfg = coerce_config(None, jobs=4, resume=None)
-        assert len(record) == 1
-        assert "deprecated" in str(record[0].message)
-        assert cfg.jobs == 4
-        assert cfg.resume is False  # legacy None coerces to False
-
-    def test_run_experiment_legacy_kwargs_warn_exactly_once(
-            self, tmp_path):
-        with pytest.warns(DeprecationWarning) as record:
-            series = run_experiment("fig5a", scale=0.01, seed=3,
-                                    jobs=2, cache_dir=str(tmp_path))
-        assert len([w for w in record
-                    if w.category is DeprecationWarning]) == 1
-        assert series
+class TestNoLegacyKeywords:
+    @pytest.mark.parametrize("keyword", [
+        "jobs", "cache", "cache_dir", "resilience", "resume"])
+    def test_legacy_keywords_rejected(self, keyword):
+        entry_points = [
+            lambda **kw: run_spec(get_spec("fig5a"), 0.01, 3, **kw),
+            lambda **kw: run_named("fig5a", 0.01, 3, **kw),
+            lambda **kw: run_results("fig5a", 0.01, 3, **kw),
+            lambda **kw: run_experiment("fig5a", 0.01, 3, **kw),
+            lambda **kw: run_all(0.01, 3, **kw),
+        ]
+        for call in entry_points:
+            with pytest.raises(TypeError, match=keyword):
+                call(**{keyword: None})
 
     def test_run_experiment_config_does_not_warn(self):
         with warnings.catch_warnings():
@@ -271,9 +264,3 @@ class TestLegacyKeywordShim:
             series = run_experiment("fig5a", scale=0.01, seed=3,
                                     config=RunConfig(jobs=2))
         assert series
-
-    def test_legacy_and_config_results_identical(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_named("fig5a", 0.01, 3, jobs=2)
-        modern = run_named("fig5a", 0.01, 3, config=RunConfig(jobs=2))
-        assert legacy.digest == modern.digest

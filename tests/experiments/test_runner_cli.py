@@ -5,11 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    resolve_experiments,
-    run_experiment,
-)
+from repro.experiments.runner import resolve_experiments, run_experiment
+from repro.experiments.specs import SPECS
 
 
 class TestRunner:
@@ -19,7 +16,7 @@ class TestRunner:
                     "economics", "churn", "cooperation", "gameworld",
                     "security", "dynamic", "chaos", "scale",
                     "orchestration", "dynamics"}
-        assert set(EXPERIMENTS) == expected
+        assert set(SPECS) == expected
 
     def test_gameworld_runs_tiny(self):
         series = run_experiment("gameworld", scale=0.05, seed=1)
@@ -176,3 +173,17 @@ class TestCliParallelFlags:
             main(["fig5a", "--jobs", "many"])
         assert exc_info.value.code == 2
         assert "expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand",
+                             ["scale", "dynamics", "chaos", "orchestrate"])
+    @pytest.mark.parametrize("flag", [["--jobs", "2"], ["--backend", "pool"],
+                                      ["--cache-dir", "x"], ["--resume"]],
+                             ids=["jobs", "backend", "cache-dir", "resume"])
+    def test_single_run_subcommands_reject_execution_flags(
+            self, subcommand, flag, capsys):
+        # Execution flags steer sweeps; the single-run subcommands have
+        # no sweep to steer, so they refuse the flags outright.
+        with pytest.raises(SystemExit) as exc_info:
+            main([subcommand, *flag])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
