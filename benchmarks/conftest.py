@@ -31,7 +31,7 @@ def bench_seed():
 def record_series(benchmark, series, title):
     """Attach series to the benchmark record and print the rows."""
     benchmark.extra_info["figure"] = title
-    benchmark.extra_info["series"] = [s.as_dict() for s in series]
+    benchmark.extra_info["series"] = [s.to_dict() for s in series]
     print(f"\n== {title} (scale={BENCH_SCALE}) ==")
     for s in series:
         print(s.format_rows())

@@ -6,19 +6,23 @@ future work (§V, supernode cooperation).
 
 from conftest import record_series
 
-from repro.experiments.churn import ChurnConfig, churn_sweep
+from repro.experiments.churn import ChurnConfig, simulate_churn
 from repro.experiments.cooperation import (
     CooperationConfig,
-    cooperation_sweep,
+    simulate_cooperation,
 )
+from repro.experiments.specs import seed_mean_series
 
 
 def test_churn_failover(benchmark, bench_seed):
     cfg = ChurnConfig(duration_s=40.0)
     series = benchmark.pedantic(
-        lambda: churn_sweep(rates_per_minute=(0.0, 2.0, 4.0, 8.0),
-                            seeds=(bench_seed, bench_seed + 1),
-                            config=cfg),
+        lambda: seed_mean_series(
+            ["with backups", "without backups (cloud fallback)"],
+            (0.0, 2.0, 4.0, 8.0), (bench_seed, bench_seed + 1),
+            lambda rate, i, seed: simulate_churn(
+                rate, i == 0, seed=seed, config=cfg)["continuity"],
+            "supernode departures per minute", "playback continuity"),
         rounds=1, iterations=1)
     record_series(benchmark, series,
                   "Extension: continuity vs supernode churn")
@@ -36,10 +40,12 @@ def test_churn_failover(benchmark, bench_seed):
 def test_supernode_cooperation(benchmark, bench_seed):
     cfg = CooperationConfig(duration_s=30.0)
     series = benchmark.pedantic(
-        lambda: cooperation_sweep(
-            hot_fractions=(0.25, 0.5, 0.75),
-            seeds=(bench_seed, bench_seed + 1),
-            config=cfg),
+        lambda: seed_mean_series(
+            ["no cooperation", "with cooperation"], (0.25, 0.5, 0.75),
+            (bench_seed, bench_seed + 1),
+            lambda frac, i, seed: simulate_cooperation(
+                16, frac, i == 1, seed=seed, config=cfg)["satisfied"],
+            "fraction on the hot supernode", "satisfied players"),
         rounds=1, iterations=1)
     record_series(benchmark, series,
                   "Extension: satisfaction vs load skew (cooperation)")

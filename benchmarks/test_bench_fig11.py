@@ -5,19 +5,25 @@ from conftest import record_series
 from repro.experiments.satisfaction import (
     FIG11_STRATEGIES,
     SupernodeLoadConfig,
-    satisfaction_sweep,
+    simulate_supernode_load,
 )
+from repro.experiments.specs import seed_mean_series
 
 CFG = SupernodeLoadConfig(duration_s=25.0, warmup_s=8.0)
 
 
+def satisfied(k, i, seed):
+    _label, adapt, sched = FIG11_STRATEGIES[i]
+    return simulate_supernode_load(
+        k, adapt, sched, seed=seed, config=CFG)["satisfied"]
+
+
 def test_fig11_satisfaction_schedule(benchmark, bench_seed):
     series = benchmark.pedantic(
-        lambda: satisfaction_sweep(
-            loads=(5, 10, 15, 20, 25),
-            strategies=FIG11_STRATEGIES,
-            seeds=(bench_seed, bench_seed + 1),
-            config=CFG),
+        lambda: seed_mean_series(
+            [label for label, _, _ in FIG11_STRATEGIES], (5, 10, 15, 20, 25),
+            (bench_seed, bench_seed + 1), satisfied,
+            "players per supernode", "satisfied players"),
         rounds=1, iterations=1)
     record_series(
         benchmark, series,

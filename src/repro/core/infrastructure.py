@@ -531,6 +531,8 @@ class GamingSession:
         cfg = self.config
         # Extra drain time so in-flight segments arrive and count.
         self.env.run(until=cfg.duration_s + 2.0)
+        if self.obs is not None:
+            obs_mod.count_kernel_events(self.env, self.obs)
 
         outcomes = []
         for pid, endpoint in self._endpoints.items():

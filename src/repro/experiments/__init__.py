@@ -1,25 +1,31 @@
-"""Experiment drivers: one module per paper figure.
+"""Experiments: one spec per paper figure, run by one sweep engine.
 
-Every public function here regenerates the data behind one figure or
-table of the paper's §IV and returns
-:class:`~repro.metrics.series.FigureSeries` objects (the plotted lines).
-The benchmarks under ``benchmarks/`` call these and print the rows.
+Every figure or table of the paper's §IV is a spec in
+:data:`repro.experiments.specs.SPECS`. The spec is the one definition
+of the figure's sweep (point grid, series labels, seed averaging);
+the modules here hold the per-point simulations its tasks run. Run one
+with ``run_named(key, scale, seed)``; it returns a
+:class:`~repro.experiments.api.RunResult` whose ``series`` are the
+plotted lines (:class:`~repro.metrics.series.FigureSeries`).
 
 ===========  =====================================================
-paper item   driver
+paper item   spec key (``run_named(key, ...)``)
 ===========  =====================================================
-Figure 2     :data:`repro.streaming.video.QUALITY_LADDER`
-Figure 5(a)  :func:`repro.experiments.coverage.coverage_vs_datacenters`
-Figure 5(b)  :func:`repro.experiments.coverage.coverage_vs_supernodes`
-Figure 6(a)  same drivers with the PlanetLab scenario
-Figure 6(b)  same drivers with the PlanetLab scenario
-Figure 7     :func:`repro.experiments.bandwidth.bandwidth_vs_players`
-Figure 8     :func:`repro.experiments.qoe.latency_by_system`
-Figure 9     :func:`repro.experiments.qoe.continuity_vs_players`
-Figure 10    :func:`repro.experiments.satisfaction.satisfaction_sweep`
-Figure 11    :func:`repro.experiments.satisfaction.satisfaction_sweep`
-§III-A econ  :func:`repro.experiments.economics_exp.incentive_sweep`
+Figure 2     :data:`repro.streaming.video.QUALITY_LADDER` (no sweep)
+Figure 5(a)  ``"fig5a"`` (PeerSim)
+Figure 5(b)  ``"fig5b"`` (PeerSim)
+Figure 6(a)  ``"fig6a"`` (PlanetLab)
+Figure 6(b)  ``"fig6b"`` (PlanetLab)
+Figure 7     ``"fig7a"`` (PeerSim), ``"fig7b"`` (PlanetLab)
+Figure 8     ``"fig8a"`` (PeerSim), ``"fig8b"`` (PlanetLab)
+Figure 9     ``"fig9a"`` (PeerSim), ``"fig9b"`` (PlanetLab)
+Figure 10    ``"fig10"``
+Figure 11    ``"fig11"``
+§III-A econ  ``"economics"``
 ===========  =====================================================
+
+The extensions beyond the paper's figures are specs too (``"churn"``,
+``"cooperation"``, ``"security"``, ``"chaos"``, ...).
 
 The execution surface re-exports from here (resolved lazily so the
 simulation stack only imports when actually used)::

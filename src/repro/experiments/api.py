@@ -16,8 +16,8 @@ This is the contract between the experiment catalogue
   the merged metrics snapshot, a content digest of the series and
   timing/cache accounting.
 
-Determinism contract: ``decompose`` must return tasks in the exact
-order the legacy serial sweep visited them, task payloads must be pure
+Determinism contract: ``decompose`` must return the same tasks in the
+same order for the same ``(scale, seed)``, task payloads must be pure
 functions of ``(task, scale, seed)``, and ``merge`` must consume
 payloads keyed by task — never by completion order — so a parallel run
 is byte-identical to a serial one.

@@ -22,8 +22,6 @@ import numpy as np
 from repro.core.player import PlayerEndpoint
 from repro.core.server import StreamingServer
 from repro.core.supernode import SupernodeServer
-from repro.dynamics.plan import DynamicsPlan, SupernodeDepartures
-from repro.metrics.series import FigureSeries
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
 from repro.streaming.encoder import SegmentEncoder
@@ -69,30 +67,17 @@ class _PlayerState:
 
 
 def simulate_churn(
-    departures_per_minute: float | None = None,
+    departures_per_minute: float,
     use_backups: bool = True,
     seed: int = 0,
     config: ChurnConfig | None = None,
-    plan: DynamicsPlan | None = None,
 ) -> dict[str, float]:
     """Run the churn microcosm; returns QoE aggregates.
 
-    The departure process can be given directly (a rate per minute) or
-    as a dynamics plan whose :class:`SupernodeDepartures` sources sum
-    to the rate — both describe the same exponential-gap process and
-    draw from the same ``churn`` RNG stream in the same order, so
-    ``simulate_churn(r, ...)`` and
-    ``simulate_churn(plan=plan_with_rate(r), ...)`` are byte-identical.
+    Supernodes depart with exponential gaps at ``departures_per_minute``.
     Returns a dict with ``continuity``, ``satisfied``, ``departures``
     (count actually executed) and ``failovers_to_cloud``.
     """
-    if plan is not None:
-        if departures_per_minute is not None:
-            raise ValueError(
-                "pass either departures_per_minute or plan=, not both")
-        departures_per_minute = plan.departure_rate_per_minute()
-    if departures_per_minute is None:
-        raise ValueError("pass departures_per_minute or plan=")
     if departures_per_minute < 0:
         raise ValueError("departure rate must be nonnegative")
     cfg = config or ChurnConfig()
@@ -216,32 +201,3 @@ def _segment_loop(env, cfg, players, player_id):
         ev = env.timeout(state.l_r)
         ev.callbacks.append(start_render)
         yield env.timeout(SEGMENT_DURATION_S)
-
-
-def churn_sweep(
-    rates_per_minute=(0.0, 1.0, 2.0, 4.0, 8.0),
-    seeds=(0, 1),
-    config: ChurnConfig | None = None,
-) -> list[FigureSeries]:
-    """Continuity vs supernode churn rate, with and without backups.
-
-    Each rate point is described as a one-source dynamics plan so the
-    sweep exercises the same DSL the cohort kernel consumes; the rates
-    and series shapes are unchanged from the pre-plan sweep.
-    """
-    with_b = FigureSeries(label="with backups",
-                          x_label="supernode departures per minute",
-                          y_label="playback continuity")
-    without_b = FigureSeries(label="without backups (cloud fallback)",
-                             x_label="supernode departures per minute",
-                             y_label="playback continuity")
-    for rate in rates_per_minute:
-        plan = DynamicsPlan(
-            sources=(SupernodeDepartures(rate_per_minute=rate),)
-            if rate > 0 else ())
-        for series, flag in ((with_b, True), (without_b, False)):
-            vals = [simulate_churn(use_backups=flag, seed=s,
-                                   config=config, plan=plan)["continuity"]
-                    for s in seeds]
-            series.add(rate, float(np.mean(vals)))
-    return [with_b, without_b]

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.player import PlayerEndpoint
 from repro.core.supernode import SupernodeServer
-from repro.metrics.series import FigureSeries
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
 from repro.streaming.encoder import SegmentEncoder
@@ -185,25 +184,3 @@ def _segment_loop(env, cfg, placements, player_id):
         ev = env.timeout(pl.l_r)
         ev.callbacks.append(start_render)
         yield env.timeout(SEGMENT_DURATION_S)
-
-
-def cooperation_sweep(
-    hot_fractions=(0.25, 0.4, 0.55, 0.7, 0.85),
-    n_players: int = 16,
-    seeds=(0, 1),
-    config: CooperationConfig | None = None,
-) -> list[FigureSeries]:
-    """Satisfied players vs load skew, with and without cooperation."""
-    solo = FigureSeries(label="no cooperation",
-                        x_label="fraction on the hot supernode",
-                        y_label="satisfied players")
-    coop = FigureSeries(label="with cooperation",
-                        x_label="fraction on the hot supernode",
-                        y_label="satisfied players")
-    for frac in hot_fractions:
-        for series, flag in ((solo, False), (coop, True)):
-            vals = [simulate_cooperation(
-                n_players, frac, flag, seed=s, config=config)["satisfied"]
-                for s in seeds]
-            series.add(frac, float(np.mean(vals)))
-    return [solo, coop]

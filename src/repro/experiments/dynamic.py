@@ -29,7 +29,7 @@ from repro.core.infrastructure import SessionConfig, SystemVariant
 from repro.core.player import PlayerEndpoint
 from repro.core.server import StreamingServer
 from repro.core.supernode import SupernodeServer
-from repro.dynamics.plan import DiurnalLoad, DynamicsPlan
+from repro.dynamics.plan import DynamicsPlan
 from repro.metrics.series import FigureSeries
 from repro.sim.engine import Environment
 from repro.streaming.encoder import SegmentEncoder
@@ -94,7 +94,6 @@ class DynamicSimulation:
         sample_interval_s: float = 5.0,
         min_session_s: float = 20.0,
         max_session_s: float = 90.0,
-        diurnal: bool = False,
         plan: DynamicsPlan | None = None,
     ):
         if not variant.uses_fog and variant is not SystemVariant.CLOUD:
@@ -108,16 +107,8 @@ class DynamicSimulation:
         self.min_session_s = min_session_s
         self.max_session_s = max_session_s
         #: Arrival modulation comes from a dynamics plan
-        #: (:mod:`repro.dynamics.plan`); the legacy ``diurnal=True``
-        #: flag is a shim for a plan with one evening-peaked
-        #: :class:`DiurnalLoad` whose day is compressed into the
-        #: horizon — same thinning sequence, bit for bit.
-        if plan is None:
-            plan = DynamicsPlan(
-                sources=(DiurnalLoad(day_length_s=horizon_s),)
-                if diurnal else ())
-        self.plan = plan
-        self.diurnal = diurnal or plan.peak_rate_multiplier() > 1.0
+        #: (:mod:`repro.dynamics.plan`); no plan means flat arrivals.
+        self.plan = plan if plan is not None else DynamicsPlan()
         self.env = Environment()
         self.result = DynamicResult(horizon_s=horizon_s)
         self.cloud = CloudCoordinator(self.env, population.datacenter_ids)

@@ -17,7 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.economics.incentives import participation_curve
+from repro.economics.incentives import (
+    contribution_decisions,
+    participation_curve,
+)
 from repro.economics.provider import (
     ProviderModel,
     bandwidth_reduction_bps,
@@ -80,7 +83,7 @@ def incentive_sweep(
 
     for c_s, frac in zip(rewards, fractions):
         participation.add(c_s, frac)
-        mask = fractions_mask(
+        mask = contribution_decisions(
             float(c_s), caps_mbps, util, costs, thresholds)
         m = int(mask.sum())
         contributed_mbps = float(caps_mbps[mask].sum())
@@ -92,18 +95,6 @@ def incentive_sweep(
         c_g = saving_per_mbps * b_r / 1e6 - float(c_s) * used_mbps
         saved.add(c_s, c_g)
     return participation, saved
-
-
-def fractions_mask(
-    c_s: float,
-    caps_mbps: np.ndarray,
-    util: np.ndarray,
-    costs: np.ndarray,
-    thresholds: np.ndarray,
-) -> np.ndarray:
-    """Boolean contribution mask at one reward level."""
-    from repro.economics.incentives import contribution_decisions
-    return contribution_decisions(c_s, caps_mbps, util, costs, thresholds)
 
 
 def deployment_frontier(

@@ -1,19 +1,18 @@
-"""QoE experiments — Figures 8 (response latency) and 9 (continuity).
+"""QoE sweep points — Figures 8 (response latency) and 9 (continuity).
 
 Both run the packet-level session simulation
 (:func:`repro.core.infrastructure.simulate_sessions`) over the scenario's
-online population:
+online population. The sweeps are the ``fig8a``/``fig8b`` and
+``fig9a``/``fig9b`` specs (:mod:`repro.experiments.specs`); each of their
+tasks runs one point here:
 
-* Figure 8 reports average response latency per player for each system;
-* Figure 9 sweeps the number of concurrent players and reports average
-  playback continuity per system.
+* :func:`latency_point` — one system's average response latency per
+  player (Figure 8);
+* :func:`continuity_point` — one system's average playback continuity
+  at one number of concurrent players (Figure 9).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
-
-import numpy as np
 
 from repro.core.infrastructure import (
     SessionConfig,
@@ -22,7 +21,6 @@ from repro.core.infrastructure import (
     simulate_sessions,
 )
 from repro.experiments.scenarios import Scenario
-from repro.metrics.series import FigureSeries
 
 ALL_SYSTEMS: tuple[SystemVariant, ...] = (
     SystemVariant.CLOUD,
@@ -72,60 +70,3 @@ def continuity_point(
     """One Figure 9 sweep point: mean continuity at one (count, variant)."""
     result = run_variant(scenario, variant, int(n_players), config)
     return result.mean_continuity
-
-
-def latency_by_system(
-    scenario: Scenario,
-    variants: Sequence[SystemVariant] = ALL_SYSTEMS,
-    n_online: int | None = None,
-    config: SessionConfig | None = None,
-) -> FigureSeries:
-    """Figure 8: average response latency per player, per system.
-
-    The series' x values index the variants in order; labels carry the
-    mapping.
-    """
-    series = FigureSeries(
-        label=" | ".join(v.value for v in variants),
-        x_label="system (index)",
-        y_label="avg response latency (ms)",
-    )
-    for i, variant in enumerate(variants):
-        series.add(i, latency_point(scenario, variant, n_online, config))
-    return series
-
-
-def continuity_vs_players(
-    scenario: Scenario,
-    player_counts: Sequence[int],
-    variants: Sequence[SystemVariant] = ALL_SYSTEMS,
-    config: SessionConfig | None = None,
-) -> list[FigureSeries]:
-    """Figure 9: average playback continuity vs concurrent players."""
-    series = [
-        FigureSeries(label=v.value, x_label="# players",
-                     y_label="playback continuity")
-        for v in variants
-    ]
-    for n in player_counts:
-        for s, variant in zip(series, variants):
-            s.add(n, continuity_point(scenario, int(n), variant, config))
-    return series
-
-
-def satisfied_by_system(
-    scenario: Scenario,
-    variants: Sequence[SystemVariant] = ALL_SYSTEMS,
-    n_online: int | None = None,
-    config: SessionConfig | None = None,
-) -> FigureSeries:
-    """Satisfied-player fraction per system (supporting metric)."""
-    series = FigureSeries(
-        label=" | ".join(v.value for v in variants),
-        x_label="system (index)",
-        y_label="satisfied players",
-    )
-    for i, variant in enumerate(variants):
-        result = run_variant(scenario, variant, n_online, config)
-        series.add(i, result.satisfied_fraction)
-    return series

@@ -19,15 +19,12 @@ workload mix, and the standard segment cadence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.adaptation import AdaptationParams
 from repro.core.player import PlayerEndpoint
 from repro.core.scheduling import SchedulingParams
 from repro.core.supernode import SupernodeServer
-from repro.metrics.series import FigureSeries
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
 from repro.streaming.encoder import SegmentEncoder
@@ -142,27 +139,3 @@ FIG10_STRATEGIES = (("CloudFog/B", False, False),
                     ("CloudFog-adapt", True, False))
 FIG11_STRATEGIES = (("CloudFog/B", False, False),
                     ("CloudFog-schedule", False, True))
-
-
-def satisfaction_sweep(
-    loads: Sequence[int] = (5, 10, 15, 20, 25),
-    strategies: Sequence[tuple[str, bool, bool]] = FIG10_STRATEGIES,
-    seeds: Sequence[int] = (0, 1, 2),
-    config: SupernodeLoadConfig | None = None,
-) -> list[FigureSeries]:
-    """Figures 10/11: satisfied fraction vs players per supernode."""
-    series = [
-        FigureSeries(label=label, x_label="players per supernode",
-                     y_label="satisfied players")
-        for label, _, _ in strategies
-    ]
-    for k in loads:
-        for s, (label, adapt, sched) in zip(series, strategies):
-            vals = [
-                simulate_supernode_load(
-                    int(k), adapt, sched, seed=seed, config=config)
-                ["satisfied"]
-                for seed in seeds
-            ]
-            s.add(k, float(np.mean(vals)))
-    return series

@@ -1,13 +1,15 @@
 """The experiment catalogue: one typed spec per paper figure/extension.
 
-Each :class:`~repro.experiments.api.ExperimentSpec` here decomposes its
-figure into independent sweep tasks — one per sweep point × system
-variant × seed wherever the legacy serial sweep already re-derived its
-randomness per point (almost everywhere: populations are rebuilt from
-the scenario seed at every point, and the per-seed microcosms seed
-their own registries). Two sweeps thread RNG state *across* points and
-therefore stay single tasks so their numbers match the serial code
-exactly: Figure 7's game-choice stream
+Each :class:`~repro.experiments.api.ExperimentSpec` here is the one
+definition of its figure's sweep: point grid, series labels and seed
+averaging. The experiment modules only provide the per-point
+simulations its task runners call. A spec decomposes its figure into
+independent sweep tasks — one per sweep point × system variant × seed
+wherever each point derives its own randomness (almost everywhere:
+populations are rebuilt from the scenario seed at every point, and the
+per-seed microcosms seed their own registries). Two sweeps thread RNG
+state *across* points and therefore stay single tasks: Figure 7's
+game-choice stream
 (:func:`repro.experiments.bandwidth.bandwidth_vs_players`) and the
 gameworld partition-balance sweep.
 
@@ -113,22 +115,31 @@ def _run_bandwidth(scale: float, seed: int, p: dict) -> dict:
     return _fragments(bw.bandwidth_vs_players(scen, p["counts"]))
 
 
+def _point_fragment(label: str, x_label: str, y_label: str,
+                    x: float, y: float) -> dict:
+    """Payload of a one-point series fragment."""
+    s = FigureSeries(label=label, x_label=x_label, y_label=y_label)
+    s.add(x, y)
+    return _fragments([s])
+
+
 def _run_latency_variant(scale: float, seed: int, p: dict) -> dict:
     scen = _scenario(p["scenario"], scale, seed)
     cfg = SessionConfig(duration_s=p["duration_s"])
-    s = FigureSeries(label=p["label"], x_label="system (index)",
-                     y_label="avg response latency (ms)")
-    s.add(p["index"],
-          qoe.latency_point(scen, SystemVariant(p["variant"]), config=cfg))
-    return _fragments([s])
+    return _point_fragment(
+        p["label"], "system (index)", "avg response latency (ms)",
+        p["index"],
+        qoe.latency_point(scen, SystemVariant(p["variant"]), config=cfg))
 
 
 def _run_continuity_point(scale: float, seed: int, p: dict) -> dict:
     scen = _scenario(p["scenario"], scale, seed)
     cfg = SessionConfig(duration_s=p["duration_s"])
-    return _fragments(qoe.continuity_vs_players(
-        scen, [int(p["n_players"])],
-        variants=[SystemVariant(p["variant"])], config=cfg))
+    n = int(p["n_players"])
+    return _point_fragment(
+        p["variant"], "# players", "playback continuity", n,
+        qoe.continuity_point(scen, n, SystemVariant(p["variant"]),
+                             config=cfg))
 
 
 def _run_supernode_load(scale: float, seed: int, p: dict) -> dict:
@@ -372,37 +383,64 @@ def _decompose_continuity(name, scenario, min_count, scale, seed):
     ]
 
 
+def seed_mean_series(labels, xs, seeds, point, x_label, y_label
+                     ) -> list[FigureSeries]:
+    """One series per label whose value at ``x`` is the mean of
+    ``point(x, label_index, seed)`` over ``seeds``."""
+    series = [FigureSeries(label=label, x_label=x_label, y_label=y_label)
+              for label in labels]
+    for x in xs:
+        for i, s in enumerate(series):
+            s.add(x, float(np.mean([point(x, i, sv) for sv in seeds])))
+    return series
+
+
+def _seed_averaged(name, runner, xs, flags, params, x_label, y_label,
+                   n_seeds=lambda scale: 2):
+    """Decompose/merge pair for a sweep averaged over seeds.
+
+    ``flags`` is ``((flag, series label), ...)`` in series order. The
+    decomposition is one task per ``(x, flag index, seed)``, in that
+    nesting, running ``runner`` on ``params(scale, x, flag, seed)``;
+    the seeds are ``seed, seed + 1, ...``, ``n_seeds(scale)`` of them.
+    The merge makes one series per flag whose point at ``x`` is the
+    mean of its tasks' ``"value"`` over the seeds.
+    """
+    def seeds(scale, seed):
+        return range(int(seed), int(seed) + n_seeds(scale))
+
+    def decompose(scale, seed):
+        return [
+            SweepTask(name, (x, fi, sv), runner, params(scale, x, flag, sv))
+            for x in xs
+            for fi, (flag, _label) in enumerate(flags)
+            for sv in seeds(scale, seed)
+        ]
+
+    def merge(scale, seed, ordered):
+        res = dict(ordered)
+        return seed_mean_series(
+            [label for _flag, label in flags], xs, seeds(scale, seed),
+            lambda x, fi, sv: res[(x, fi, sv)]["value"], x_label, y_label)
+
+    return decompose, merge
+
+
 _SAT_LOADS = (5, 10, 15, 20, 25)
 
 
-def _sat_seeds(scale: float, seed: int) -> list[int]:
-    return list(range(seed, seed + max(1, int(3 * scale) or 1)))
+def _sat_params(scale, load, strategy, task_seed):
+    adapt, sched = strategy
+    return {"load": load, "adapt": adapt, "sched": sched,
+            "task_seed": task_seed}
 
 
-def _decompose_satisfaction(name, strategies, scale, seed):
-    return [
-        SweepTask(name, (int(k), si, int(sv)), "supernode_load",
-                  {"load": int(k), "adapt": adapt, "sched": sched,
-                   "task_seed": int(sv)})
-        for k in _SAT_LOADS
-        for si, (_label, adapt, sched) in enumerate(strategies)
-        for sv in _sat_seeds(scale, seed)
-    ]
-
-
-def _merge_satisfaction(name, strategies, scale, seed, ordered):
-    res = dict(ordered)
-    seeds = _sat_seeds(scale, seed)
-    series = [
-        FigureSeries(label=label, x_label="players per supernode",
-                     y_label="satisfied players")
-        for label, _, _ in strategies
-    ]
-    for k in _SAT_LOADS:
-        for si, s in enumerate(series):
-            vals = [res[(k, si, sv)]["value"] for sv in seeds]
-            s.add(k, float(np.mean(vals)))
-    return series
+def _satisfaction(name, strategies):
+    return _seed_averaged(
+        name, "supernode_load", _SAT_LOADS,
+        [((adapt, sched), label) for label, adapt, sched in strategies],
+        _sat_params, "players per supernode", "satisfied players",
+        n_seeds=lambda scale: max(1, int(3 * scale)))
 
 
 def _decompose_economics(scale, seed):
@@ -413,110 +451,31 @@ def _decompose_economics(scale, seed):
 
 
 _CHURN_RATES = (0.0, 1.0, 2.0, 4.0, 8.0)
-#: (flag value, series label) in the serial sweep's series order.
-_CHURN_FLAGS = ((True, "with backups"),
-                (False, "without backups (cloud fallback)"))
 
 
-def _churn_duration_s(scale: float) -> float:
-    return 30.0 + 30.0 * min(1.0, scale * 5)
-
-
-def _decompose_churn(scale, seed):
-    duration = _churn_duration_s(scale)
-    return [
-        SweepTask("churn", (rate, fi, int(sv)), "churn_point",
-                  {"rate": rate, "with_backups": flag, "task_seed": int(sv),
-                   "duration_s": duration})
-        for rate in _CHURN_RATES
-        for fi, (flag, _label) in enumerate(_CHURN_FLAGS)
-        for sv in (seed, seed + 1)
-    ]
-
-
-def _merge_churn(scale, seed, ordered):
-    res = dict(ordered)
-    series = [
-        FigureSeries(label=label, x_label="supernode departures per minute",
-                     y_label="playback continuity")
-        for _flag, label in _CHURN_FLAGS
-    ]
-    for rate in _CHURN_RATES:
-        for fi, s in enumerate(series):
-            vals = [res[(rate, fi, sv)]["value"] for sv in (seed, seed + 1)]
-            s.add(rate, float(np.mean(vals)))
-    return series
+def _churn_params(scale, rate, with_backups, task_seed):
+    return {"rate": rate, "with_backups": with_backups,
+            "task_seed": task_seed,
+            "duration_s": 30.0 + 30.0 * min(1.0, scale * 5)}
 
 
 _COOP_FRACTIONS = (0.25, 0.4, 0.55, 0.7, 0.85)
-_COOP_FLAGS = ((False, "no cooperation"), (True, "with cooperation"))
 _COOP_PLAYERS = 16
 
 
-def _coop_duration_s(scale: float) -> float:
-    return 20.0 + 20.0 * min(1.0, scale * 5)
-
-
-def _decompose_cooperation(scale, seed):
-    duration = _coop_duration_s(scale)
-    return [
-        SweepTask("cooperation", (frac, fi, int(sv)), "cooperation_point",
-                  {"hot_fraction": frac, "cooperate": flag,
-                   "n_players": _COOP_PLAYERS, "task_seed": int(sv),
-                   "duration_s": duration})
-        for frac in _COOP_FRACTIONS
-        for fi, (flag, _label) in enumerate(_COOP_FLAGS)
-        for sv in (seed, seed + 1)
-    ]
-
-
-def _merge_cooperation(scale, seed, ordered):
-    res = dict(ordered)
-    series = [
-        FigureSeries(label=label, x_label="fraction on the hot supernode",
-                     y_label="satisfied players")
-        for _flag, label in _COOP_FLAGS
-    ]
-    for frac in _COOP_FRACTIONS:
-        for fi, s in enumerate(series):
-            vals = [res[(frac, fi, sv)]["value"] for sv in (seed, seed + 1)]
-            s.add(frac, float(np.mean(vals)))
-    return series
+def _coop_params(scale, frac, cooperate, task_seed):
+    return {"hot_fraction": frac, "cooperate": cooperate,
+            "n_players": _COOP_PLAYERS, "task_seed": task_seed,
+            "duration_s": 20.0 + 20.0 * min(1.0, scale * 5)}
 
 
 _SECURITY_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4)
-_SECURITY_FLAGS = ((False, "no reputation system"),
-                   (True, "with reputation + eviction"))
 
 
-def _security_sessions(scale: float) -> int:
-    return max(500, int(3000 * scale / 0.08))
-
-
-def _decompose_security(scale, seed):
-    n_sessions = _security_sessions(scale)
-    return [
-        SweepTask("security", (frac, fi, int(sv)), "security_point",
-                  {"malicious_fraction": frac, "use_reputation": flag,
-                   "n_sessions": n_sessions, "task_seed": int(sv)})
-        for frac in _SECURITY_FRACTIONS
-        for fi, (flag, _label) in enumerate(_SECURITY_FLAGS)
-        for sv in (seed, seed + 1)
-    ]
-
-
-def _merge_security(scale, seed, ordered):
-    res = dict(ordered)
-    series = [
-        FigureSeries(label=label, x_label="malicious supernode fraction",
-                     y_label="tampered session rate")
-        for _flag, label in _SECURITY_FLAGS
-    ]
-    for frac in _SECURITY_FRACTIONS:
-        for fi, s in enumerate(series):
-            vals = [res[(frac, fi, sv)]["value"] for sv in (seed, seed + 1)]
-            s.add(frac, float(np.mean(vals)))
-    return series
+def _security_params(scale, frac, use_reputation, task_seed):
+    return {"malicious_fraction": frac, "use_reputation": use_reputation,
+            "n_sessions": max(500, int(3000 * scale / 0.08)),
+            "task_seed": task_seed}
 
 
 _GAMEWORLD_RADII = (50.0, 100.0, 200.0)
@@ -802,28 +761,38 @@ _register(_spec(
     partial(_decompose_continuity, "fig9b", "planetlab", 5)))
 _register(_spec(
     "fig10", "rate-adaptation satisfaction sweep", ("paper",),
-    partial(_decompose_satisfaction, "fig10", sat.FIG10_STRATEGIES),
-    partial(_merge_satisfaction, "fig10", sat.FIG10_STRATEGIES)))
+    *_satisfaction("fig10", sat.FIG10_STRATEGIES)))
 _register(_spec(
     "fig11", "deadline-scheduling satisfaction sweep", ("paper",),
-    partial(_decompose_satisfaction, "fig11", sat.FIG11_STRATEGIES),
-    partial(_merge_satisfaction, "fig11", sat.FIG11_STRATEGIES)))
+    *_satisfaction("fig11", sat.FIG11_STRATEGIES)))
 _register(_spec(
     "economics", "incentive sweep + deployment frontier (§III-A)",
     ("paper", "economics"), _decompose_economics))
 # Extensions beyond the paper's figures (DESIGN.md §5b).
 _register(_spec(
     "churn", "supernode churn and backup failover", ("extension",),
-    _decompose_churn, _merge_churn))
+    *_seed_averaged(
+        "churn", "churn_point", _CHURN_RATES,
+        ((True, "with backups"), (False, "without backups (cloud fallback)")),
+        _churn_params, "supernode departures per minute",
+        "playback continuity")))
 _register(_spec(
     "cooperation", "supernode load cooperation", ("extension",),
-    _decompose_cooperation, _merge_cooperation))
+    *_seed_averaged(
+        "cooperation", "cooperation_point", _COOP_FRACTIONS,
+        ((False, "no cooperation"), (True, "with cooperation")),
+        _coop_params, "fraction on the hot supernode", "satisfied players")))
 _register(_spec(
     "gameworld", "update size + partition balance", ("extension",),
     _decompose_gameworld))
 _register(_spec(
     "security", "reputation + eviction vs tampering", ("extension",),
-    _decompose_security, _merge_security))
+    *_seed_averaged(
+        "security", "security_point", _SECURITY_FRACTIONS,
+        ((False, "no reputation system"),
+         (True, "with reputation + eviction")),
+        _security_params, "malicious supernode fraction",
+        "tampered session rate")))
 _register(_spec(
     "dynamic", "join/leave-driven CloudFog time series", ("extension",),
     _decompose_dynamic))

@@ -80,10 +80,6 @@ class FigureSeries:
             y=[float(v) for v in payload.get("y", [])],
         )
 
-    # Back-compat alias; prefer :meth:`to_dict`.
-    def as_dict(self) -> dict[str, object]:
-        return self.to_dict()
-
     def format_rows(self, x_fmt: str = "{:g}", y_fmt: str = "{:.3f}") -> str:
         """Human-readable table of the series."""
         lines = [f"# {self.label}  ({self.x_label} -> {self.y_label})"]

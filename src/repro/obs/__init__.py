@@ -49,7 +49,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.probes import attach_kernel_probes
+from repro.obs.probes import attach_kernel_probes, count_kernel_events
 from repro.obs.trace import TraceEvent, TraceRecorder, load_jsonl, load_trace
 
 
@@ -141,6 +141,7 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "attach_kernel_probes",
+    "count_kernel_events",
     "current",
     "default_checkers",
     "load_jsonl",

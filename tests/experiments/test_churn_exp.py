@@ -1,8 +1,10 @@
 """Tests for the churn/failover extension experiment."""
 
+import numpy as np
 import pytest
 
-from repro.experiments.churn import ChurnConfig, churn_sweep, simulate_churn
+from repro.experiments.churn import ChurnConfig, simulate_churn
+from repro.experiments.parallel import run_named
 
 FAST = ChurnConfig(duration_s=25.0, warmup_s=3.0)
 
@@ -56,15 +58,15 @@ class TestSimulateChurn:
 
 class TestChurnSweep:
     def test_series_shape(self):
-        series = churn_sweep(rates_per_minute=(0.0, 4.0), seeds=(0,),
-                             config=FAST)
+        series = run_named("churn", 0.02, 3).series
         assert [s.label for s in series] == [
             "with backups", "without backups (cloud fallback)"]
         for s in series:
-            assert s.x == [0.0, 4.0]
+            assert s.x == [0.0, 1.0, 2.0, 4.0, 8.0]
 
     def test_backups_dominate(self):
-        series = churn_sweep(rates_per_minute=(6.0,), seeds=(0, 1),
-                             config=FAST)
-        with_b, without_b = series
-        assert with_b.y[0] >= without_b.y[0]
+        with_b, without_b = (
+            float(np.mean([simulate_churn(6.0, flag, seed=s, config=FAST)
+                           ["continuity"] for s in (0, 1)]))
+            for flag in (True, False))
+        assert with_b >= without_b

@@ -4,9 +4,9 @@ import pytest
 
 from repro.experiments.cooperation import (
     CooperationConfig,
-    cooperation_sweep,
     simulate_cooperation,
 )
+from repro.experiments.parallel import run_named
 
 FAST = CooperationConfig(duration_s=20.0, warmup_s=5.0)
 
@@ -52,15 +52,15 @@ class TestSimulateCooperation:
 
 class TestCooperationSweep:
     def test_series_shape(self):
-        series = cooperation_sweep(hot_fractions=(0.3, 0.7), n_players=12,
-                                   seeds=(0,), config=FAST)
+        series = run_named("cooperation", 0.02, 3).series
         assert [s.label for s in series] == [
             "no cooperation", "with cooperation"]
         for s in series:
-            assert s.x == [0.3, 0.7]
+            assert s.x == [0.25, 0.4, 0.55, 0.7, 0.85]
 
     def test_cooperation_dominates_at_skew(self):
-        series = cooperation_sweep(hot_fractions=(0.8,), n_players=16,
-                                   seeds=(0,), config=FAST)
-        solo, coop = series
-        assert coop.y[0] >= solo.y[0]
+        solo, coop = (
+            simulate_cooperation(16, 0.8, flag, seed=0, config=FAST)
+            ["satisfied"]
+            for flag in (False, True))
+        assert coop >= solo

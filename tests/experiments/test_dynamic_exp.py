@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.infrastructure import SessionConfig, SystemVariant
+from repro.dynamics.plan import DiurnalLoad, DynamicsPlan
 from repro.experiments.dynamic import DynamicSimulation, run_dynamic
 from repro.experiments.scenarios import peersim_scenario
+
+#: One evening-peaked day compressed into a 60 s horizon.
+DIURNAL_60S = DynamicsPlan(sources=(DiurnalLoad(day_length_s=60.0),))
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +81,7 @@ class TestDynamicRun:
         horizon (afternoon/evening) sees more joins than the front
         (night/morning trough sits in the first half)."""
         sim = DynamicSimulation(pop, SystemVariant.CLOUDFOG_B,
-                                horizon_s=60.0, diurnal=True)
+                                horizon_s=60.0, plan=DIURNAL_60S)
         res = sim.run()
         assert res.joins > 0
         # Peak hour 20:00 maps to t = 50 s of 60; online count near the
@@ -87,7 +91,7 @@ class TestDynamicRun:
     def test_diurnal_same_daily_volume(self, pop):
         flat = run_dynamic(pop, SystemVariant.CLOUDFOG_B, horizon_s=60.0)
         sim = DynamicSimulation(pop, SystemVariant.CLOUDFOG_B,
-                                horizon_s=60.0, diurnal=True)
+                                horizon_s=60.0, plan=DIURNAL_60S)
         diurnal = sim.run()
         # Thinning preserves the daily average rate (Poisson noise aside).
         assert diurnal.joins == pytest.approx(flat.joins, rel=0.5)

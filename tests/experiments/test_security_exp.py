@@ -1,10 +1,12 @@
 """Tests for the malicious-supernode security experiment."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments.parallel import run_named
 from repro.experiments.security import (
     SecurityConfig,
-    security_sweep,
     simulate_security,
 )
 
@@ -57,17 +59,19 @@ class TestSimulateSecurity:
 
 class TestSecuritySweep:
     def test_series_shape(self):
-        series = security_sweep(malicious_fractions=(0.0, 0.3),
-                                seeds=(0,), config=FAST)
+        series = run_named("security", 0.02, 3).series
         assert [s.label for s in series] == [
             "no reputation system", "with reputation + eviction"]
         for s in series:
-            assert s.x == [0.0, 0.3]
+            assert s.x == [0.0, 0.1, 0.2, 0.3, 0.4]
 
     def test_tampering_grows_without_reputation(self):
-        series = security_sweep(malicious_fractions=(0.0, 0.2, 0.4),
-                                seeds=(0,), config=FAST)
-        without, with_rep = series
-        assert without.y == sorted(without.y)
-        for k in range(len(without.x)):
-            assert with_rep.y[k] <= without.y[k] + 1e-9
+        fractions = (0.0, 0.2, 0.4)
+        without, with_rep = (
+            [simulate_security(
+                flag, seed=0, config=replace(FAST, malicious_fraction=f))
+             ["tampered_rate"] for f in fractions]
+            for flag in (False, True))
+        assert without == sorted(without)
+        for k in range(len(fractions)):
+            assert with_rep[k] <= without[k] + 1e-9

@@ -150,4 +150,4 @@ class TestObservabilityIsOptIn:
         traced = run_experiment("fig8a", scale=SCALE, seed=5, obs=obs)
         # Telemetry must be a pure observer: attaching it cannot change
         # the simulated results.
-        assert [s.as_dict() for s in plain] == [s.as_dict() for s in traced]
+        assert [s.to_dict() for s in plain] == [s.to_dict() for s in traced]

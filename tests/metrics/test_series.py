@@ -36,10 +36,10 @@ class TestFigureSeries:
         assert fs.x == [1.0, 2.0]
         assert fs.y == [0.5, 0.7]
 
-    def test_as_dict_roundtrip(self):
+    def test_to_dict_roundtrip(self):
         fs = FigureSeries("l", "xa", "ya")
         fs.add(1, 2)
-        d = fs.as_dict()
+        d = fs.to_dict()
         assert d["label"] == "l"
         assert d["x"] == [1.0]
         assert d["y"] == [2.0]
