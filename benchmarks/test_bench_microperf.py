@@ -1,13 +1,17 @@
 """Micro-performance benches for the hot paths.
 
-The coverage experiments scan a 10 000 x 600 latency matrix and the
+The coverage experiments scan a 10 000 x 600 latency matrix, the
 session simulation pushes hundreds of thousands of events through the
-DES kernel. These benches pin the throughput of both so a performance
-regression in either shows up as a benchmark delta (the HPC guide's
-"track performance over time").
+DES kernel, and the scale kernel advances whole cohorts per tick. These
+benches pin the throughput of each so a performance regression shows
+up as a benchmark delta (the HPC guide's "track performance over
+time").
 """
 
+import itertools
+
 import numpy as np
+import pytest
 
 from repro.network.latency import LatencyModel, LatencyParams
 from repro.sim.engine import Environment
@@ -141,3 +145,48 @@ def test_propagation_estimator_throughput(benchmark):
         return total
 
     assert benchmark(run) > 0
+
+
+def _scale_cohort(n_players, n_regions=8, seed=0):
+    """A scale-run population: regions, access latency, lazy propagation."""
+    from repro.core.player import CohortParams, PlayerCohort
+    from repro.network.latency import (
+        RegionalLatency,
+        sample_access_latency_s,
+    )
+    from repro.network.topology import build_regions
+    from repro.sim.rng import RngRegistry
+
+    rngs = RngRegistry(seed)
+    regions = build_regions(rngs.stream("regions"), n_players, n_regions)
+    access = sample_access_latency_s(rngs.stream("access"), n_players)
+    latency = RegionalLatency(regions.centers_km)
+    return PlayerCohort(regions.region_of_player, access, latency,
+                        CohortParams(), seed)
+
+
+def test_regional_gather_throughput(benchmark):
+    """RegionalLatency.gather_s: one O(N) table lookup, 1M players × 8."""
+    cohort = _scale_cohort(1_000_000)
+    src = np.roll(cohort.region, 1)
+    out = benchmark(lambda: cohort.latency.gather_s(src, cohort.region))
+    assert out.shape == (1_000_000,)
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("active", ["all", "half"])
+def test_cohort_advance_throughput(benchmark, active):
+    """One PlayerCohort.advance tick over 100k players.
+
+    ``all`` takes the whole-array path (every player active), ``half``
+    the index path over every other player.
+    """
+    cohort = _scale_cohort(100_000)
+    idx = np.arange(100_000)
+    if active == "half":
+        idx = idx[::2]
+    ticks = itertools.count()
+    diverged = benchmark(lambda: cohort.advance(idx, next(ticks)))
+    assert diverged.shape == idx.shape
+    assert np.all(np.isfinite(cohort.buffer_s))
+    assert np.all(np.isfinite(cohort.position_s))

@@ -260,9 +260,6 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-check", action="store_true",
         help="skip the live invariant checkers")
-    parser.add_argument(
-        "--kernel", action="store_true",
-        help="also trace raw kernel schedule/step events (verbose)")
     add_execution_args(parser)
     return parser
 
@@ -282,7 +279,6 @@ def trace_main(argv: list[str] | None = None) -> int:
     obs = Observability(
         trace=TraceRecorder(),
         checkers=[] if args.no_check else default_checkers(),
-        trace_kernel=args.kernel,
     )
     t0 = time.time()
     try:

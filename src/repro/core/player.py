@@ -265,6 +265,12 @@ class PlayerCohort:
         self._fill_s = params.fill_rate * params.tick_s
         self._inv_bin = 1.0 / params.latency_bin_s
         self._top_tier = params.n_tiers - 1
+        # Per-tier deadlines, computed with the scalar mirror's operations.
+        self._deadline_s = (
+            params.frame_deadline_s + params.tier_deadline_step_s
+            * (self._top_tier - np.arange(params.n_tiers)).astype(np.float64))
+        self._up_deadline_s = (self._deadline_s - params.tier_deadline_step_s
+                               - params.up_margin_s)
 
         # -- per-player state (player id is the array index) ----------------
         self.player_id = np.arange(n, dtype=np.int64)
@@ -303,41 +309,50 @@ class PlayerCohort:
     def advance(self, idx: np.ndarray, tick: int) -> np.ndarray:
         """Advance the players in ``idx`` through tick ``tick``.
 
-        Returns the divergence mask (crashed or down-switched) aligned
-        with ``idx``. Restricted to IEEE-exact elementwise operations —
-        see :class:`CohortParams`.
+        ``idx`` is sorted and unique (``np.flatnonzero`` of the active
+        mask). Returns the divergence mask (crashed or down-switched)
+        aligned with ``idx``. Restricted to IEEE-exact elementwise
+        operations — see :class:`CohortParams`.
+
+        When every player is active, ``idx`` is exactly ``arange(n)``,
+        so the per-player arrays are indexed with a whole slice: reads
+        are views and updates land in place, with no fancy-index gather
+        or scatter. Because ``served``, ``tier`` and ``last`` may then
+        be views of the state, every quantity that reads the old state
+        is computed before the write that overwrites it.
         """
         p = self.params
-        region = self.region[idx]
-        served = self.served_by[idx]
-        pid = self.player_id[idx]
+        full = idx.size == self.n_players
+        sel = slice(None) if full else idx
+        region = self.region[sel]
+        served = self.served_by[sel]
+        pid = self.player_id[sel]
 
         # 1) This tick's frame latency: access + propagation + congestion
         #    + uniform jitter from the counter generator.
-        u_jit = counter_u01(pid, tick, self._salt_jitter)
-        lat = (self.access_s[idx]
-               + self.latency.gather_s(served, region)
-               + self.congestion_s[served]
-               + (2.0 * p.jitter_scale_s) * u_jit)
+        lat = self.access_s[sel] + self.latency.gather_s(served, region)
+        lat += self.congestion_s.take(served)
+        jitter = counter_u01(pid, tick, self._salt_jitter)
+        jitter *= 2.0 * p.jitter_scale_s
+        lat += jitter
 
         # 2) Crash draw (independent counter stream).
         crashed = counter_u01(pid, tick, self._salt_crash) \
             < p.crash_rate_per_tick
 
         # 3) Delivery against the tier-dependent deadline.
-        tier = self.tier[idx]
-        deadline = (p.frame_deadline_s
-                    + p.tier_deadline_step_s
-                    * (self._top_tier - tier).astype(np.float64))
-        on_time = lat <= deadline
+        tier = self.tier[sel]
+        on_time = lat <= self._deadline_s.take(tier)
         ok = on_time & ~crashed
 
         # 4) Playback buffer: fill on delivery, drain by playing.
-        buf = self.buffer_s[idx] + np.where(ok, self._fill_s, 0.0)
+        buf = self.buffer_s[sel]
+        buf += np.where(ok, self._fill_s, 0.0)
         playing = buf >= p.tick_s
         consumed = np.where(playing, p.tick_s, 0.0)
-        self.position_s[idx] += consumed
-        buf = np.minimum(buf - consumed, p.max_buffer_s)
+        self.position_s[sel] += consumed
+        buf -= consumed
+        np.minimum(buf, p.max_buffer_s, out=buf)
 
         # 5) Adaptation: down on a missed deadline, up on a full buffer —
         #    both rate-limited by the cooldown. An upgrade additionally
@@ -345,49 +360,56 @@ class PlayerCohort:
         #    tighter deadline, otherwise a player whose latency sits
         #    between two tier deadlines would oscillate up and down
         #    forever (and in cohort mode never re-converge).
-        can = tick - self.last_switch[idx] >= p.switch_cooldown_ticks
+        last = self.last_switch[sel]
+        can = last <= tick - p.switch_cooldown_ticks
         down = can & ~on_time & (tier > 0)
         up = (can
-              & (lat <= deadline - p.tier_deadline_step_s - p.up_margin_s)
+              & (lat <= self._up_deadline_s.take(tier))
               & (buf > p.up_buffer_s) & (tier < self._top_tier))
-        new_tier = tier + up.astype(np.int64) - down.astype(np.int64)
-        switched = new_tier != tier
+        switched = up ^ down  # both at once cancel out
+        tier += up
+        tier -= down
 
         # 6) Crash effects: buffer wiped, restart at the bottom tier,
         #    reconnect home (or to the failover target if home is down).
+        hit = np.flatnonzero(crashed)
+        home = region[hit]
         reconnect_to = np.where(
-            self.region_offline[region], self.failover_to[region], region)
-        buf = np.where(crashed, 0.0, buf)
-        new_tier = np.where(crashed, 0, new_tier)
+            self.region_offline[home], self.failover_to[home], home)
+        moved = reconnect_to != served[hit]
+        buf[hit] = 0.0
+        tier[hit] = 0
+        last[switched | crashed] = tick
 
-        # 7) Write back.
-        self.buffer_s[idx] = buf
-        self.tier[idx] = new_tier
-        self.last_switch[idx] = np.where(
-            switched | crashed, tick, self.last_switch[idx])
-        self.served_by[idx] = np.where(crashed, reconnect_to, served)
-        self.rebuffer_ticks[idx] += ~playing
-        self.crashes[idx] += crashed
-        self.switches[idx] += switched
-        self.reconnects[idx] += crashed & (reconnect_to != served)
-        self.on_time_frames[idx] += on_time
-        self.frames[idx] += 1
+        # 7) Order-free integer aggregates: integer addition commutes
+        #    exactly, so these match the scalar mirror's one-by-one adds
+        #    (which it makes after its write-back). Here they come first
+        #    because ``served`` may be a view the write-back overwrites.
+        bins = (lat * self._inv_bin).astype(np.int64)
+        np.minimum(bins, p.n_latency_bins - 1, out=bins)
+        bins += region * p.n_latency_bins
+        self.tick_load += np.bincount(served, minlength=self.n_regions)
+        self.lat_hist += np.bincount(bins, minlength=self.lat_hist.shape[0])
+
+        # 8) Write back: a subset's reads are copies, so scatter them.
+        if not full:
+            self.buffer_s[idx] = buf
+            self.tier[idx] = tier
+            self.last_switch[idx] = last
+        rows = hit if full else idx[hit]
+        self.served_by[rows] = reconnect_to
+        self.crashes[rows] += 1
+        self.reconnects[rows] += moved
+        self.rebuffer_ticks[sel] += ~playing
+        self.switches[sel] += switched
+        self.on_time_frames[sel] += on_time
+        self.frames[sel] += 1
 
         # Divergence = crash or down-switch: the events that push a
         # player *away* from the cohort's homogeneous state. An
         # up-switch is re-convergence toward it, so it neither marks a
         # player nor resets the re-absorption clock.
-        diverged = crashed | down
-
-        # 8) Order-free integer aggregates: integer addition commutes
-        #    exactly, so these match the scalar mirror's one-by-one adds.
-        bins = np.minimum((lat * self._inv_bin).astype(np.int64),
-                          p.n_latency_bins - 1)
-        flat = region * p.n_latency_bins + bins
-        self.tick_load += np.bincount(served, minlength=self.n_regions)
-        self.lat_hist += np.bincount(flat, minlength=self.lat_hist.shape[0])
-
-        return diverged
+        return crashed | down
 
     def _advance_one(self, i: int, tick: int) -> bool:
         """Scalar mirror of :meth:`advance` for one player.

@@ -275,11 +275,6 @@ class DynamicsPlan:
                 m *= s.peak_multiplier
         return m
 
-    def departure_rate_per_minute(self) -> float:
-        """Sum of every :class:`SupernodeDepartures` source's rate."""
-        return sum(s.rate_per_minute for s in self.sources
-                   if s.kind == "departures")
-
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """Stable JSON-able form (kind-tagged source records)."""

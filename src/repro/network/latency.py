@@ -261,8 +261,8 @@ class RegionalLatency:
     a served player decomposes into a per-player access term plus a
     region-to-region propagation term, so this model keeps only region
     centroids and computes each region's propagation *row* on first use,
-    caching it. Memory is O(regions²) in the worst case (every row
-    touched) and O(regions × rows_touched) typically — never O(players²).
+    caching it in an ``(regions, regions)`` table. Memory is O(regions²)
+    — never O(players²).
 
     All row math uses ``sqrt(dx² + dy²)`` and exact ``+ * /`` only (no
     ``hypot``, no libm), so cached rows — and the digests of every run
@@ -275,6 +275,10 @@ class RegionalLatency:
         self.centers_km = np.asarray(centers_km, dtype=np.float64)
         if self.centers_km.ndim != 2 or self.centers_km.shape[1] != 2:
             raise ValueError("centers_km must be (n_regions, 2)")
+        n = self.centers_km.shape[0]
+        # Row ``r`` is filled when row ``r`` is first computed; cached
+        # rows are read-only views of it.
+        self._table = np.zeros((n, n), dtype=np.float64)
         self._rows: dict[int, np.ndarray] = {}
 
     @property
@@ -294,7 +298,9 @@ class RegionalLatency:
                 raise IndexError(f"region {region} out of range")
             d = self.centers_km - self.centers_km[region]
             dist_km = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-            row = self.params.route_inflation * dist_km / FIBRE_KM_PER_S
+            self._table[region] = (
+                self.params.route_inflation * dist_km / FIBRE_KM_PER_S)
+            row = self._table[region]
             row.flags.writeable = False
             self._rows[region] = row
         return row
@@ -307,18 +313,19 @@ class RegionalLatency:
                  dst_regions: np.ndarray) -> np.ndarray:
         """Elementwise propagation ``src[i] → dst[i]`` for aligned arrays.
 
-        Touches only the rows of regions present in ``src_regions``;
-        cost is O(len + regions), independent of the population size.
+        Computes only the missing rows of regions present in
+        ``src_regions``, then reads every pair from the row table in one
+        O(len) lookup. Both arrays must hold region ids in range.
         """
         src = np.asarray(src_regions)
         dst = np.asarray(dst_regions)
-        out = np.empty(src.shape, dtype=np.float64)
-        present = np.flatnonzero(
-            np.bincount(src, minlength=self.n_regions))
-        for r in present:
-            mask = src == r
-            out[mask] = self.propagation_row_s(int(r))[dst[mask]]
-        return out
+        n = self.n_regions
+        if len(self._rows) < n:
+            for r in np.flatnonzero(np.bincount(src, minlength=n)):
+                self.propagation_row_s(int(r))
+        flat = src * n
+        flat += dst
+        return self._table.take(flat)
 
     def full_matrix_s(self) -> np.ndarray:
         """All-pairs region propagation (O(regions²); reporting only)."""

@@ -88,7 +88,6 @@ class TestPlan:
         assert len(plan) == 0
         assert plan.rate_multiplier(3.0) == 1.0
         assert plan.peak_rate_multiplier() == 1.0
-        assert plan.departure_rate_per_minute() == 0.0
 
     def test_random_plans_are_reproducible(self):
         a = DynamicsPlan.random(seed=11, horizon_s=30.0, n_sources=5)

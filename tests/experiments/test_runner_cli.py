@@ -187,3 +187,11 @@ class TestCliParallelFlags:
             main([subcommand, *flag])
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_trace_rejects_kernel_flag(self, capsys):
+        # Sweep tasks trace under their own Observability, so a kernel
+        # flag on ``trace`` could never record anything; it is refused.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["trace", "--figure", "fig5a", "--kernel"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
